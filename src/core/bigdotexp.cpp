@@ -35,6 +35,13 @@ using linalg::Matrix;
 /// explicit wrapper.
 inline constexpr Real kHalfScale = 0.5;
 
+/// Work-gated grain of a per-constraint sweep against `width` sketch
+/// columns: a constraint costs about width x nnz(Q_i) multiply-adds.
+Index constraint_grain(const sparse::FactorizedSet& as, Index width) {
+  return par::work_grain(as.size(),
+                         static_cast<Real>(width * as.total_nnz()));
+}
+
 /// Shard partition threaded through the sweeps: empty (or the trivial
 /// {0, n}) means the legacy unsharded code path, byte-for-byte. More than
 /// one shard engages the deterministic mode -- the per-constraint sweep
@@ -54,18 +61,22 @@ struct ShardSpan {
                            : par::parallel_sum(0, n, body);
   }
 
-  /// Run `body(i)` for every constraint, grain 1. Deterministic mode issues
-  /// one parallel_for per shard, in shard order -- each constraint's work
-  /// is serial either way, so this only pins the sweep boundaries (and the
+  /// Run `body(i)` for every constraint of `as`, work-gated on `width`
+  /// (the sketch columns each constraint's factor is swept against: about
+  /// width x nnz(Q_i) multiply-adds). Deterministic mode issues one
+  /// parallel_for per shard, in shard order -- each constraint's work is
+  /// serial either way, so this only pins the sweep boundaries (and the
   /// metered shape) to the partition, never the bits of dots_i themselves.
   template <typename Body>
-  void for_each_constraint(Index n, Body&& body) const {
+  void for_each_constraint(const sparse::FactorizedSet& as, Index width,
+                           Body&& body) const {
+    const Index grain = constraint_grain(as, width);
     if (!deterministic()) {
-      par::parallel_for(0, n, body, /*grain=*/1);
+      par::parallel_for(0, as.size(), body, grain);
       return;
     }
     for (std::size_t k = 0; k + 1 < offsets.size(); ++k) {
-      par::parallel_for(offsets[k], offsets[k + 1], body, /*grain=*/1);
+      par::parallel_for(offsets[k], offsets[k + 1], body, grain);
     }
   }
 };
@@ -88,6 +99,8 @@ std::vector<Real> sketch_times_exp_half(const linalg::SymmetricOp& phi,
   if (!exact) pi.emplace(rows, dim, seed);
 
   par::global_pool();  // warm up outside the loop (lazy init)
+  // A row is a degree-long chain of Phi applications, each touching at
+  // least the dim entries of its vector.
   par::parallel_for(0, rows, [&](Index j) {
     Vector x(dim);
     if (exact) {
@@ -100,7 +113,7 @@ std::vector<Real> sketch_times_exp_half(const linalg::SymmetricOp& phi,
     linalg::apply_exp_taylor(half, degree, x, y);
     Real* out = s.data() + j * dim;
     for (Index i = 0; i < dim; ++i) out[i] = y[i];
-  }, /*grain=*/1);
+  }, par::work_grain(rows, static_cast<Real>(rows * degree * dim)));
   return s;
 }
 
@@ -176,7 +189,7 @@ void accumulate_dots_reference(const std::vector<Real>& s, Index dim, Index r,
     dots[i] = acc;
     par::CostMeter::add_work(
         static_cast<std::uint64_t>(r * (2 * q.nnz() + 2 * k)));
-  }, /*grain=*/1);
+  }, constraint_grain(as, r));
 }
 
 /// Fused blocked path (the ROADMAP "one pass over S" item): panels of
@@ -221,7 +234,7 @@ Real sketch_exp_dots_fused(const linalg::BlockOp& phi_block, Index dim,
     // accumulator's squared mass -- the panel's share of ||S Q_i||_F^2 --
     // reduces through the same seam.
     const simd::KernelTable& kt = simd::active_kernels();
-    shards.for_each_constraint(as.size(), [&](Index i) {
+    shards.for_each_constraint(as, b, [&](Index i) {
       const sparse::Csr& q = as[i].q();
       const Index k = q.cols();
       std::vector<Real>& acc = ws.accumulators[static_cast<std::size_t>(i)];
@@ -280,7 +293,7 @@ Real sketch_exp_dots_fused_f(const linalg::BlockOpF& phi_block_f, Index dim,
     // sum_sq_f is a serial compensated double sum -- already independent of
     // the pool width -- so the trace needs no deterministic variant here.
     trace += kt.sum_sq_f(ws.y_panel_f.data(), dim * b);
-    shards.for_each_constraint(as.size(), [&](Index i) {
+    shards.for_each_constraint(as, b, [&](Index i) {
       const sparse::Csr& q = as[i].q();
       const Index k = q.cols();
       const auto& fv =
@@ -335,7 +348,7 @@ void accumulate_dots_blocked(const std::vector<Real>& st, Index r,
     dots[i] = acc;
     par::CostMeter::add_work(
         static_cast<std::uint64_t>(r * (2 * q.nnz() + 2 * k)));
-  }, /*grain=*/1);
+  }, constraint_grain(as, r));
 }
 
 /// Shared implementation of the two workspace-form entry points. An empty

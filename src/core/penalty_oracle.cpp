@@ -15,13 +15,12 @@ namespace psdp::core {
 
 void penalty_dots(const PackingInstance& instance, const Matrix& w,
                   Vector& dots) {
+  // Work-gated: each constraint is one m x m Frobenius dot.
   const Index m = instance.dim();
-  // Keep small per-constraint work serial: below this grain the fork-join
-  // overhead dwarfs an m^2 dot product.
-  const Index grain = std::max<Index>(1, 16384 / (m * m + 1));
   par::parallel_for(0, instance.size(), [&](Index i) {
     dots[i] = linalg::frobenius_dot(instance[i], w);
-  }, grain);
+  }, par::work_grain(instance.size(),
+                     static_cast<Real>(instance.size() * m * m)));
 }
 
 // ------------------------------------------------------------------ dense --
@@ -179,7 +178,7 @@ void SketchedTaylorOracle::sync_bounds(const Vector& x) {
         }
         shard_trace_partial_[static_cast<std::size_t>(k)] = trace_part;
         shard_lambda_partial_[static_cast<std::size_t>(k)] = lambda_part;
-      }, /*grain=*/1);
+      }, par::work_grain(k_shards, static_cast<Real>(2 * size())));
       trace_psi_ = 0;
       lambda_bound_ = 0;
       for (Index k = 0; k < k_shards; ++k) {

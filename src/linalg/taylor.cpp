@@ -57,14 +57,17 @@ void apply_exp_taylor_block(const BlockOp& op, Index degree, const Matrix& x,
   // sweep through the dispatch seam (taylor_step: v = next*s; next = v;
   // y += v). The store of v rounds the product before the add in every
   // backend, so this is bitwise identical to the scale(); add_scaled()
-  // pair it replaces -- under every ISA.
+  // pair it replaces -- under every ISA. Work-gated on one multiply-add and
+  // two stores per entry, so the sweep fans out only on panels of a few
+  // chunks' worth of entries.
   const simd::KernelTable& kt = simd::active_kernels();
+  const Index step_grain = par::work_grain(n * b, static_cast<Real>(3 * n * b));
   for (Index j = 1; j < degree; ++j) {
     op(workspace.term, workspace.next);
     const Real s = op_scale / static_cast<Real>(j);
     par::parallel_for_chunked(0, n * b, [&](Index lo, Index hi) {
       kt.taylor_step(workspace.next.data(), y.data(), s, lo, hi);
-    }, /*grain=*/8192);
+    }, step_grain);
     std::swap(workspace.term, workspace.next);
   }
   par::CostMeter::add_work(
@@ -85,12 +88,13 @@ void apply_exp_taylor_block_f(const BlockOpF& op, Index degree,
   y = x;
   workspace.next.reshape(n, b);
   const simd::KernelTable& kt = simd::active_kernels();
+  const Index step_grain = par::work_grain(n * b, static_cast<Real>(3 * n * b));
   for (Index j = 1; j < degree; ++j) {
     op(workspace.term, workspace.next);
     const float s = op_scale / static_cast<float>(j);
     par::parallel_for_chunked(0, n * b, [&](Index lo, Index hi) {
       kt.taylor_step_f(workspace.next.data(), y.data(), s, lo, hi);
-    }, /*grain=*/8192);
+    }, step_grain);
     std::swap(workspace.term, workspace.next);
   }
   par::CostMeter::add_work(

@@ -5,6 +5,12 @@
 //   Real s = par::parallel_reduce(0, m, 0.0,
 //       [&](Index i) { return f(i); }, std::plus<>{});
 //
+// The sparse, Taylor and per-constraint kernel loops are work-gated: they
+// pass par::work_grain(elements, estimated total work) as their grain, so
+// a loop fans out only once each chunk carries kMinChunkWork units of work.
+// Reductions keep their own partitions (see parallel_reduce and
+// deterministic_sum): their chunk count fixes the summation order.
+//
 // Thread count is process-global and settable at runtime (benches sweep it).
 // Setting it to 1 executes everything inline with no pool interaction, which
 // is the deterministic baseline for the scaling experiments.
@@ -17,6 +23,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <numeric>
 #include <vector>
@@ -34,7 +41,8 @@ int num_threads();
 /// concurrently with running parallel loops.
 void set_num_threads(int threads);
 
-/// The process-wide pool backing parallel loops.
+/// The process-wide pool backing parallel loops. Created on first use;
+/// safe to call from several threads at once.
 ThreadPool& global_pool();
 
 /// Minimum number of loop iterations per chunk; below this a loop runs
@@ -51,6 +59,29 @@ inline constexpr Index kDefaultGrain = 1024;
 /// under untouched defaults is the guarantee, not under arbitrary tuning.
 inline Index default_grain() { return util::tunable_grain(); }
 
+/// The work gate of the kernel loops: the least estimated work one chunk
+/// must carry before a loop fans out, counted in multiply-adds and output
+/// stores. A pool region costs ~15 us of wake-up and join -- on the order
+/// of this much sparse-kernel work -- so below it the fork-join costs more
+/// than it saves. A constant, not a tunable: it is applied only to
+/// loops whose outputs are disjoint per element, where the partition never
+/// changes a bit, so there is nothing to tune per instance.
+inline constexpr Real kMinChunkWork = 32768;
+
+/// Grain of a work-gated loop over `elements` elements that carry about
+/// `total_work` units of work in all: the fewest elements whose share of
+/// the work reaches kMinChunkWork, or all of them -- one chunk, run on the
+/// caller -- when the loop cannot fill two chunks. That test is a compare,
+/// so the small loops that dominate small solves pay no division. Every
+/// element counts at least one unit (touching it).
+inline Index work_grain(Index elements, Real total_work) {
+  const auto n = static_cast<Real>(elements);
+  const Real work = std::max(total_work, n);
+  if (work < 2 * kMinChunkWork) return std::max<Index>(1, elements);
+  const Real grain = std::ceil(kMinChunkWork * n / work);
+  return std::max<Index>(1, static_cast<Index>(grain));
+}
+
 /// Invoke body(begin_k, end_k) over an even partition of [begin, end) into
 /// roughly `num_threads()` chunks of at least `grain` elements.
 template <typename Body>
@@ -60,11 +91,13 @@ void parallel_for_chunked(Index begin, Index end, Body&& body,
   PSDP_CHECK(grain >= 1, "grain must be positive");
   const Index n = end - begin;
   const Index max_chunks = std::max<Index>(1, num_threads());
-  const Index chunks = std::clamp<Index>((n + grain - 1) / grain, 1, max_chunks);
-  if (chunks == 1) {
+  // One chunk without a division: the common case of the small kernel
+  // loops a small solve issues by the hundred thousand.
+  if (grain >= n || max_chunks == 1) {
     body(begin, end);
     return;
   }
+  const Index chunks = std::min<Index>((n + grain - 1) / grain, max_chunks);
   const Index chunk_size = (n + chunks - 1) / chunks;
   const auto task = [&](Index c) {
     const Index b = begin + c * chunk_size;

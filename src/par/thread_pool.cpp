@@ -94,6 +94,7 @@ void ThreadPool::run_batch(Index count, TaskRef task) {
   }
 
   std::lock_guard<std::mutex> submit_lock(submit_mutex_);
+  dispatched_.fetch_add(1, std::memory_order_relaxed);
   t_submitting = true;
   struct SubmitReset {
     ~SubmitReset() { t_submitting = false; }

@@ -100,6 +100,13 @@ class ThreadPool {
   /// needs to live for the duration of this call.
   void run_batch(Index count, TaskRef task);
 
+  /// Batches that reached the workers since construction. Batches run
+  /// inline (nested, caller-inlined or zero-worker) are not counted, so
+  /// this is the number of fork-joins actually paid for.
+  std::uint64_t dispatched_batches() const {
+    return dispatched_.load(std::memory_order_relaxed);
+  }
+
   /// True when the current thread is one of this pool's workers.
   bool on_worker_thread() const;
 
@@ -133,6 +140,7 @@ class ThreadPool {
   /// through active_, so a free slot cannot regain holders behind our back.
   std::vector<std::shared_ptr<Batch>> spare_;
   std::uint64_t epoch_ = 0;  ///< bumped per batch so workers join each once
+  std::atomic<std::uint64_t> dispatched_{0};  ///< see dispatched_batches()
   bool stop_ = false;
 };
 

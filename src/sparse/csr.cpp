@@ -11,6 +11,16 @@
 
 namespace psdp::sparse {
 
+namespace {
+/// Work-gated grain (par::work_grain) of a sweep over `outputs` rows of b
+/// entries each -- the SpMM's rows, the gathers' columns: the nonzeros cost
+/// b multiply-adds each and every output row b stores, which dominate on
+/// the very sparse factors where most output rows hold no nonzero.
+Index output_grain(Index nnz, Index outputs, Index b) {
+  return par::work_grain(outputs, static_cast<Real>(b * (nnz + outputs)));
+}
+}  // namespace
+
 Csr Csr::from_triplets(Index rows, Index cols, std::vector<Triplet> triplets) {
   PSDP_CHECK(rows >= 0 && cols >= 0, "csr: dimensions must be non-negative");
   for (const Triplet& t : triplets) {
@@ -128,7 +138,7 @@ void Csr::apply(const Vector& x, Vector& y) const {
   par::parallel_for_chunked(0, rows_, [&](Index ib, Index ie) {
     kt.spmm_rows(offsets_.data(), columns_.data(), values_.data(), ib, ie, 1,
                  x.data(), y.data());
-  }, /*grain=*/64);
+  }, output_grain(nnz(), rows_, 1));
   par::CostMeter::add_work(static_cast<std::uint64_t>(2 * nnz()));
   par::CostMeter::add_depth(par::reduction_depth(cols_));
 }
@@ -227,14 +237,16 @@ void Csr::apply_transpose(const Vector& x, Vector& y) const {
     par::parallel_for_chunked(0, cols_, [&](Index jb, Index je) {
       kt.gather_panel(t_offsets_.data(), t_rows_.data(), t_values_.data(),
                       jb, je, 1, x.data(), y.data());
-    }, /*grain=*/64);
+    }, output_grain(nnz(), cols_, 1));
     par::CostMeter::add_work(static_cast<std::uint64_t>(2 * nnz()));
     par::CostMeter::add_depth(par::reduction_depth(rows_));
     return;
   }
   y.fill(0);
   // Serial scatter per thread would race; with the moderate sizes used here
-  // a row sweep with owned output blocks keeps determinism.
+  // a row sweep with owned output blocks keeps determinism. Each chunk
+  // scans every row, so under the column gate this fans out only once the
+  // matrix carries several chunks' worth of nonzeros.
   par::parallel_for_chunked(0, cols_, [&](Index jb, Index je) {
     for (Index i = 0; i < rows_; ++i) {
       const auto cols = row_cols(i);
@@ -246,7 +258,7 @@ void Csr::apply_transpose(const Vector& x, Vector& y) const {
         if (j >= jb && j < je) y[j] += xi * vals[k];
       }
     }
-  }, /*grain=*/256);
+  }, output_grain(nnz(), cols_, 1));
   par::CostMeter::add_work(static_cast<std::uint64_t>(2 * nnz()));
   par::CostMeter::add_depth(par::reduction_depth(rows_));
 }
@@ -263,14 +275,12 @@ void Csr::apply_block(const Matrix& x, Matrix& y) const {
   PSDP_CHECK(b >= 1, "csr apply_block: panel must have at least one column");
   y.reshape(rows_, b);
   // Row-parallel SpMM through the dispatch seam: one pass over the nonzeros
-  // serves all b columns. The grain shrinks with b so chunks stay at
-  // comparable work to apply()'s.
-  const Index grain = std::max<Index>(1, 64 / b);
+  // serves all b columns.
   const simd::KernelTable& kt = simd::active_kernels();
   par::parallel_for_chunked(0, rows_, [&](Index ib, Index ie) {
     kt.spmm_rows(offsets_.data(), columns_.data(), values_.data(), ib, ie, b,
                  x.data(), y.data());
-  }, grain);
+  }, output_grain(nnz(), rows_, b));
   par::CostMeter::add_work(static_cast<std::uint64_t>(2 * nnz() * b));
   par::CostMeter::add_depth(par::reduction_depth(cols_));
 }
@@ -367,19 +377,15 @@ void Csr::apply_transpose_block_indexed(const Matrix& x, Matrix& y) const {
   PSDP_CHECK(b >= 1,
              "csr apply_transpose_block: panel must have at least one column");
   y.reshape(cols_, b);
-  // Chunk the columns so a chunk carries a few thousand entry updates; the
-  // per-column entry spans are contiguous in the index, so each chunk is
-  // one streaming pass.
-  const Index avg_work =
-      std::max<Index>(1, (nnz() * b) / std::max<Index>(1, cols_));
-  const Index grain = std::max<Index>(1, 4096 / avg_work);
+  // Column chunks: the per-column entry spans are contiguous in the index,
+  // so each chunk is one streaming pass.
   // Width dispatch (the compile-time-B register kernels for the common
   // widths) now lives inside the backend's gather_panel.
   const simd::KernelTable& kt = simd::active_kernels();
   par::parallel_for_chunked(0, cols_, [&](Index jb, Index je) {
     kt.gather_panel(t_offsets_.data(), t_rows_.data(), t_values_.data(), jb,
                     je, b, x.data(), y.data());
-  }, grain);
+  }, output_grain(nnz(), cols_, b));
   par::CostMeter::add_work(static_cast<std::uint64_t>(2 * nnz() * b));
   par::CostMeter::add_depth(par::reduction_depth(rows_));
 }
@@ -409,11 +415,9 @@ void Csr::apply_transpose_block_segmented(const Matrix& x, Matrix& y) const {
   y.reshape(cols_, b);
   y.fill(0);
   const Index windows = (num_segs + group - 1) / group;
-  // Per-window column grain: a chunk should carry a few thousand entry
-  // updates of *this window's* share of the nonzeros.
-  const Index avg_work = std::max<Index>(
-      1, (nnz() * b) / std::max<Index>(1, cols_ * windows));
-  const Index grain = std::max<Index>(1, 4096 / avg_work);
+  // Per-window column grain: a window holds about 1/windows of the
+  // nonzeros, and every window folds into every output column.
+  const Index grain = output_grain(nnz() / windows, cols_, b);
   // Windows sweep sequentially with the column-parallel fold inside each
   // one: every thread works the same cache-resident x-slice, and each
   // output is still one ascending-row reduction across the windows.
@@ -454,12 +458,11 @@ void Csr::apply_block_f(const MatrixF& x, MatrixF& y,
   const Index b = x.cols();
   PSDP_CHECK(b >= 1, "csr apply_block_f: panel must have at least one column");
   y.reshape(rows_, b);
-  const Index grain = std::max<Index>(1, 64 / b);
   const simd::KernelTable& kt = simd::active_kernels();
   par::parallel_for_chunked(0, rows_, [&](Index ib, Index ie) {
     kt.spmm_rows_f(offsets_.data(), columns_.data(), values_f.data(), ib, ie,
                    b, x.data(), y.data());
-  }, grain);
+  }, output_grain(nnz(), rows_, b));
   par::CostMeter::add_work(static_cast<std::uint64_t>(2 * nnz() * b));
   par::CostMeter::add_depth(par::reduction_depth(cols_));
 }
@@ -479,13 +482,10 @@ void Csr::apply_transpose_block_f(const MatrixF& x, MatrixF& y,
   if (t_built_) {
     PSDP_CHECK(static_cast<Index>(t_values_f.size()) == nnz(),
                "csr apply_transpose_block_f: float CSC copy out of date");
-    const Index avg_work =
-        std::max<Index>(1, (nnz() * b) / std::max<Index>(1, cols_));
-    const Index grain = std::max<Index>(1, 4096 / avg_work);
     par::parallel_for_chunked(0, cols_, [&](Index jb, Index je) {
       kt.gather_panel_f(t_offsets_.data(), t_rows_.data(), t_values_f.data(),
                         jb, je, b, x.data(), y.data());
-    }, grain);
+    }, output_grain(nnz(), cols_, b));
   } else {
     PSDP_CHECK(static_cast<Index>(values_f.size()) == nnz(),
                "csr apply_transpose_block_f: float value copy out of date");

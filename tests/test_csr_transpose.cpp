@@ -300,5 +300,75 @@ TEST(CsrTransposeIndex, EmptyColumnsProduceZeroRows) {
   EXPECT_MATRIX_NEAR(y, naive_transpose_block(m, x), 1e-14);
 }
 
+// The work gate (par::work_grain) decides whether the SpMM and the gathers
+// fan out, from (nnz + output rows) x b. Shapes below it must stay on
+// the calling thread, shapes above it must reach the pool, and either
+// way the bits must match a one-thread run: the gated loops write disjoint
+// outputs, so their partition can never change a result.
+TEST(CsrWorkGate, SpmmAndGathersBitwiseAcrossTheGate) {
+  ThreadGuard guard;
+  for (const Index b : {1, 8, 16}) {
+    for (const Real fraction : {0.5, 5.0}) {
+      const bool above = fraction > 1;
+      // random_sparse draws ~4 entries per row (uniform in [0, 8]).
+      const auto rows = static_cast<Index>(fraction * par::kMinChunkWork /
+                                           static_cast<Real>(4 * b));
+      const Index cols = std::max<Index>(2, rows / 8);
+      Csr a = random_sparse(rows, cols, 8, 500 + static_cast<std::uint64_t>(b));
+      // Two segment windows, each carrying half the nonzeros.
+      TransposePlanOptions options = forced_grid_options((rows + 1) / 2);
+      options.window_bytes = 1;
+      a.build_transpose_index(options);
+      ASSERT_TRUE(a.has_segment_index());
+      // The gate counts each output row's b stores besides its nonzeros,
+      // and fans out once a sweep -- here each segment window -- fills two
+      // chunks.
+      if (above) {
+        ASSERT_GT(static_cast<Real>(a.nnz() * b), 4 * par::kMinChunkWork)
+            << "b=" << b;
+      } else {
+        ASSERT_LT(static_cast<Real>((a.nnz() + rows) * b), par::kMinChunkWork)
+            << "b=" << b;
+      }
+      const Matrix x = random_panel(cols, b, 7);
+      const Matrix xt = random_panel(rows, b, 8);
+
+      struct Outputs {
+        Matrix spmm, gather, segmented;
+      };
+      const auto run = [&](int threads) {
+        par::set_num_threads(threads);
+        Outputs out;
+        const std::uint64_t before = par::global_pool().dispatched_batches();
+        a.apply_block(x, out.spmm);
+        const std::uint64_t after_spmm =
+            par::global_pool().dispatched_batches();
+        a.apply_transpose_block_indexed(xt, out.gather);
+        const std::uint64_t after_gather =
+            par::global_pool().dispatched_batches();
+        a.apply_transpose_block_segmented(xt, out.segmented);
+        const std::uint64_t after_segmented =
+            par::global_pool().dispatched_batches();
+        if (threads > 1) {
+          EXPECT_EQ(after_spmm - before, above ? 1u : 0u) << "b=" << b;
+          EXPECT_EQ(after_gather - after_spmm, above ? 1u : 0u) << "b=" << b;
+          // One column-parallel fold per window when above the gate.
+          EXPECT_EQ(after_segmented - after_gather, above ? 2u : 0u)
+              << "b=" << b;
+        }
+        return out;
+      };
+      const Outputs serial = run(1);
+      const Outputs wide = run(4);
+      EXPECT_EQ(serial.spmm, wide.spmm) << "b=" << b << " above=" << above;
+      EXPECT_EQ(serial.gather, wide.gather) << "b=" << b << " above=" << above;
+      EXPECT_EQ(serial.segmented, wide.segmented)
+          << "b=" << b << " above=" << above;
+      EXPECT_EQ(serial.gather, serial.segmented) << "b=" << b;
+      EXPECT_MATRIX_NEAR(serial.gather, naive_transpose_block(a, xt), 1e-10);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace psdp::sparse

@@ -2,11 +2,15 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
+#include "apps/generators.hpp"
+#include "core/penalty_oracle.hpp"
 #include "par/cost_meter.hpp"
 #include "par/parallel.hpp"
 #include "par/thread_pool.hpp"
+#include "sparse/csr.hpp"
 
 namespace psdp::par {
 namespace {
@@ -167,6 +171,114 @@ TEST(CostMeter, ThreadSafeAccumulation) {
   CostMeter::reset();
   parallel_for(0, 10000, [](Index) { CostMeter::add_work(1); }, /*grain=*/8);
   EXPECT_EQ(CostMeter::snapshot().work, 10000u);
+}
+
+TEST(ThreadPool, CountsOnlyDispatchedBatches) {
+  ThreadPool inline_pool(0);
+  inline_pool.run_batch(4, [](Index) {});
+  EXPECT_EQ(inline_pool.dispatched_batches(), 0u);
+
+  ThreadPool pool(2);
+  pool.run_batch(0, [](Index) {});
+  EXPECT_EQ(pool.dispatched_batches(), 0u);
+  // The nested batch runs inline on whichever thread drains task k.
+  pool.run_batch(4, [&](Index) { pool.run_batch(3, [](Index) {}); });
+  EXPECT_EQ(pool.dispatched_batches(), 1u);
+  {
+    ScopedRegionInline inlined(true);
+    pool.run_batch(4, [](Index) {});
+  }
+  EXPECT_EQ(pool.dispatched_batches(), 1u);
+}
+
+TEST(WorkGrain, ElementsPerChunkReachTheGate) {
+  const auto k = static_cast<Index>(kMinChunkWork);
+  // Work for fewer than two full chunks: one chunk of every element.
+  EXPECT_EQ(work_grain(100, 0), 100);
+  EXPECT_EQ(work_grain(100, 2 * kMinChunkWork - 1), 100);
+  EXPECT_EQ(work_grain(0, 0), 1);
+  // Enough for several: the fewest elements carrying kMinChunkWork.
+  EXPECT_EQ(work_grain(100, 2 * kMinChunkWork), 50);
+  EXPECT_EQ(work_grain(100, 100 * kMinChunkWork), 1);
+  EXPECT_EQ(work_grain(100, 1000 * kMinChunkWork), 1);
+  EXPECT_EQ(work_grain(1000, 3 * kMinChunkWork), 334);
+  // Every element counts at least one unit of work.
+  EXPECT_EQ(work_grain(4 * k, 0), k);
+}
+
+/// RAII guard: restore the global thread count on scope exit.
+struct ThreadGuard {
+  int before = num_threads();
+  ~ThreadGuard() { set_num_threads(before); }
+};
+
+TEST(GlobalPool, ConcurrentFirstUseSharesOnePool) {
+  ThreadGuard guard;
+  set_num_threads(3);  // drops the pool: the threads below race to create it
+  constexpr int kThreads = 8;
+  std::vector<ThreadPool*> seen(kThreads, nullptr);
+  std::atomic<Index> covered{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      seen[static_cast<std::size_t>(t)] = &global_pool();
+      parallel_for(0, 64, [&](Index) { covered++; }, /*grain=*/1);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (ThreadPool* pool : seen) EXPECT_EQ(pool, &global_pool());
+  EXPECT_EQ(covered.load(), 64 * kThreads);
+}
+
+// A decision round on a tiny factorized instance (m=16, n=8, rank 2, 4 nnz
+// per factor column -- the benchmark's tiny-solve shape) is microseconds of
+// kernel work: every loop in it sits below the work gate, so the round
+// must not pay for a single fork-join even with a 4-thread pool.
+TEST(WorkGate, TinyOracleRoundDispatchesNothing) {
+  ThreadGuard guard;
+  set_num_threads(4);
+  apps::FactorizedOptions shape;
+  shape.m = 16;
+  shape.n = 8;
+  shape.rank = 2;
+  shape.nnz_per_column = 4;
+  const core::FactorizedPackingInstance instance =
+      apps::random_factorized(shape);
+  core::SketchedOracleOptions options;
+  options.eps = 0.075;
+  core::SketchedTaylorOracle oracle(instance, options);
+  linalg::Vector x(instance.size());
+  x.fill(0.1);
+  core::PenaltyBatch batch;
+  const std::uint64_t before = global_pool().dispatched_batches();
+  oracle.compute(x, 0, batch);
+  EXPECT_EQ(global_pool().dispatched_batches() - before, 0u);
+  EXPECT_GT(batch.trace, 0);
+}
+
+// ... while work well above the gate still fans out.
+TEST(WorkGate, LargeSpmmStillDispatches) {
+  ThreadGuard guard;
+  set_num_threads(4);
+  const Index rows = 4096;
+  const Index cols = 512;
+  const Index b = 16;
+  std::vector<sparse::Triplet> triplets;
+  for (Index i = 0; i < rows; ++i) {
+    for (Index e = 0; e < 4; ++e) {
+      triplets.push_back(
+          {i, (i * 7 + e * 131) % cols, 1.0 + static_cast<Real>(e)});
+    }
+  }
+  const sparse::Csr a =
+      sparse::Csr::from_triplets(rows, cols, std::move(triplets));
+  ASSERT_GE(static_cast<Real>(a.nnz() * b), 8 * kMinChunkWork);
+  linalg::Matrix x(cols, b);
+  x.fill(1);
+  linalg::Matrix y;
+  const std::uint64_t before = global_pool().dispatched_batches();
+  a.apply_block(x, y);
+  EXPECT_GE(global_pool().dispatched_batches() - before, 1u);
 }
 
 }  // namespace

@@ -261,7 +261,7 @@ TEST(Log, LevelsFilterMessages) {
 TEST(Timer, MeasuresElapsedTime) {
   util::WallTimer t;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(t.seconds(), 0);
   EXPECT_GE(t.millis(), t.seconds() * 1000 - 1e-9);
   t.reset();
