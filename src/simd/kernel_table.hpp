@@ -32,6 +32,18 @@ struct KernelTable {
                     const double* values, Index ib, Index ie, Index b,
                     const double* x, double* y);
 
+  /// Row-list SpMM accumulate, the implicit-Psi row step: for each listed
+  /// row i = rows[k], k in [kb, ke), y[i*b .. i*b+b) += w * (spmm_rows'
+  /// reduction of row i over x). Each row reduces through spmm_rows' own
+  /// per-element chain and the weighted add is a rounded product, then an
+  /// add (never contracted), so a listed row gets exactly the bits of
+  /// spmm_rows into a temporary followed by Matrix::add_scaled; rows not
+  /// listed are never touched. Listed rows must be distinct.
+  void (*spmm_rows_accumulate)(const Index* offsets, const Index* cols,
+                               const double* values, const Index* rows,
+                               Index kb, Index ke, Index b, double w,
+                               const double* x, double* y);
+
   /// Column-range CSC gather: for each output column j in [jb, je),
   /// y[j*b ..) = the serial ascending-row reduction of column j's entries
   /// over the rows() x b input panel x. Overwrites the output rows.
@@ -75,6 +87,12 @@ struct KernelTable {
   void (*spmm_rows_f)(const Index* offsets, const Index* cols,
                       const float* values, Index ib, Index ie, Index b,
                       const float* x, float* y);
+
+  /// spmm_rows_accumulate over float values and panels (float weight).
+  void (*spmm_rows_accumulate_f)(const Index* offsets, const Index* cols,
+                                 const float* values, const Index* rows,
+                                 Index kb, Index ke, Index b, float w,
+                                 const float* x, float* y);
 
   /// gather_panel over float values and panels.
   void (*gather_panel_f)(const Index* offsets, const Index* rows,

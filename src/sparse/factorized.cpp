@@ -4,7 +4,9 @@
 
 #include "linalg/eig.hpp"
 #include "linalg/matfunc.hpp"
+#include "par/cost_meter.hpp"
 #include "par/parallel.hpp"
+#include "simd/simd.hpp"
 
 namespace psdp::sparse {
 
@@ -34,6 +36,26 @@ Real factor_lambda_max_bound(const Csr& q) {
   return std::min(std::max<Real>(lmax, 0), trace);
 }
 
+/// The row step of the accumulate forms: y[r,:] += w (Q[r,:] s) over the
+/// listed rows through a spmm_rows_accumulate kernel, work-gated over the
+/// list (outputs are disjoint per row, so the chunking changes no bit).
+/// Charges what Csr::apply_block charges for the SpMM it replaces.
+template <typename T>
+void accumulate_rows(const Csr& q, std::span<const Index> rows,
+                     const T* values,
+                     void (*kernel)(const Index*, const Index*, const T*,
+                                    const Index*, Index, Index, Index, T,
+                                    const T*, T*),
+                     Index b, T w, const T* s, T* y) {
+  const auto count = static_cast<Index>(rows.size());
+  par::parallel_for_chunked(0, count, [&](Index kb, Index ke) {
+    kernel(q.row_offsets().data(), q.col_indices().data(), values,
+           rows.data(), kb, ke, b, w, s, y);
+  }, par::work_grain(count, static_cast<Real>(b * (q.nnz() + count))));
+  par::CostMeter::add_work(static_cast<std::uint64_t>(2 * q.nnz() * b));
+  par::CostMeter::add_depth(par::reduction_depth(q.cols()));
+}
+
 }  // namespace
 
 FactorizedPsd::FactorizedPsd(Csr q)
@@ -50,6 +72,11 @@ FactorizedPsd::FactorizedPsd(Csr q, const TransposePlanOptions& plan_options)
     q_.build_transpose_index(plan_options);
   }
   lambda_bound_ = factor_lambda_max_bound(q_);
+  const auto offsets = q_.row_offsets();
+  for (Index r = 0; r < q_.rows(); ++r) {
+    const auto at = static_cast<std::size_t>(r);
+    if (offsets[at + 1] > offsets[at]) nonempty_rows_.push_back(r);
+  }
 }
 
 FactorizedPsd FactorizedPsd::scaled(Real s) const {
@@ -99,32 +126,41 @@ void FactorizedPsd::apply(const Vector& x, Vector& y) const {
   q_.apply(scratch, y);
 }
 
-void FactorizedPsd::apply_block(const Matrix& x, Matrix& y,
-                                Matrix& scratch) const {
-  q_.apply_transpose_block(x, scratch);
-  q_.apply_block(scratch, y);
+void FactorizedPsd::accumulate(const Vector& x, Real w, Vector& y,
+                               Vector& scratch) const {
+  PSDP_CHECK(y.size() == dim(), "factorized accumulate: dimension mismatch");
+  scratch.resize(q_.cols());
+  q_.apply_transpose(x, scratch);
+  accumulate_rows(q_, nonempty_rows_, q_.values().data(),
+                  simd::active_kernels().spmm_rows_accumulate, 1, w,
+                  scratch.data(), y.data());
 }
 
-void FactorizedPsd::apply_block(const Matrix& x, Matrix& y, Matrix& scratch,
-                                std::vector<Real>& partial) const {
-  q_.apply_transpose_block(x, scratch, partial);
-  q_.apply_block(scratch, y);
-}
-
-void FactorizedPsd::apply_block(const Matrix& x, Matrix& y, Matrix& scratch,
-                                std::vector<Real>& partial,
-                                const KernelPlan* plan) const {
+void FactorizedPsd::accumulate_block(const Matrix& x, Real w, Matrix& y,
+                                     Matrix& scratch,
+                                     std::vector<Real>& partial,
+                                     const KernelPlan* plan) const {
+  PSDP_CHECK(y.rows() == dim() && y.cols() == x.cols(),
+             "factorized accumulate_block: panel shape mismatch");
   q_.apply_transpose_block(x, scratch, partial, plan);
-  q_.apply_block(scratch, y);
+  accumulate_rows(q_, nonempty_rows_, q_.values().data(),
+                  simd::active_kernels().spmm_rows_accumulate, x.cols(), w,
+                  scratch.data(), y.data());
 }
 
-void FactorizedPsd::apply_block_f(const MatrixF& x, MatrixF& y,
-                                  MatrixF& scratch,
-                                  std::span<const float> values_f,
-                                  std::span<const float> t_values_f,
-                                  std::vector<float>& partial) const {
+void FactorizedPsd::accumulate_block_f(const MatrixF& x, float w, MatrixF& y,
+                                       MatrixF& scratch,
+                                       std::span<const float> values_f,
+                                       std::span<const float> t_values_f,
+                                       std::vector<float>& partial) const {
+  PSDP_CHECK(y.rows() == dim() && y.cols() == x.cols(),
+             "factorized accumulate_block_f: panel shape mismatch");
+  PSDP_CHECK(static_cast<Index>(values_f.size()) == nnz(),
+             "factorized accumulate_block_f: float value copy out of date");
   q_.apply_transpose_block_f(x, scratch, values_f, t_values_f, partial);
-  q_.apply_block_f(scratch, y, values_f);
+  accumulate_rows(q_, nonempty_rows_, values_f.data(),
+                  simd::active_kernels().spmm_rows_accumulate_f, x.cols(), w,
+                  scratch.data(), y.data());
 }
 
 Real FactorizedPsd::dot_dense(const Matrix& s) const {
@@ -223,15 +259,13 @@ void FactorizedSet::weighted_apply_block(const Vector& x, const Matrix& v,
                                          BlockWorkspace& workspace) const {
   PSDP_CHECK(x.size() == size(), "weighted_apply_block: weight length mismatch");
   PSDP_CHECK(v.rows() == dim_, "weighted_apply_block: panel dimension mismatch");
-  const Index b = v.cols();
-  y.reshape(dim_, b);
+  y.reshape(dim_, v.cols());
   y.fill(0);
   for (Index i = 0; i < size(); ++i) {
     if (x[i] == 0) continue;
-    items_[static_cast<std::size_t>(i)].apply_block(
-        v, workspace.contribution, workspace.scratch,
-        workspace.transpose_partial, workspace.plan);
-    y.add_scaled(workspace.contribution, x[i]);
+    items_[static_cast<std::size_t>(i)].accumulate_block(
+        v, x[i], y, workspace.scratch, workspace.transpose_partial,
+        workspace.plan);
   }
 }
 
@@ -257,21 +291,16 @@ void FactorizedSet::weighted_apply_block_f(const Vector& x, const MatrixF& v,
   PSDP_CHECK(v.rows() == dim_,
              "weighted_apply_block_f: panel dimension mismatch");
   ensure_float_values(workspace);
-  const Index b = v.cols();
-  y.reshape(dim_, b);
+  y.reshape(dim_, v.cols());
   y.fill(0);
   for (Index i = 0; i < size(); ++i) {
     if (x[i] == 0) continue;
     const auto& fv = workspace.float_values[static_cast<std::size_t>(i)];
-    items_[static_cast<std::size_t>(i)].apply_block_f(
-        v, workspace.contribution_f, workspace.scratch_f, fv.values,
-        fv.t_values, workspace.transpose_partial_f);
     // Weights stay double until the very last multiply: one rounding per
     // accumulated term, same as the float kernels themselves.
-    const float w = static_cast<float>(x[i]);
-    float* yd = y.data();
-    const float* cd = workspace.contribution_f.data();
-    for (Index e = 0; e < dim_ * b; ++e) yd[e] += w * cd[e];
+    items_[static_cast<std::size_t>(i)].accumulate_block_f(
+        v, static_cast<float>(x[i]), y, workspace.scratch_f, fv.values,
+        fv.t_values, workspace.transpose_partial_f);
   }
 }
 
@@ -281,11 +310,10 @@ void FactorizedSet::weighted_apply(const Vector& x, const Vector& v,
   PSDP_CHECK(v.size() == dim_, "weighted_apply: vector length mismatch");
   if (y.size() != dim_) y = Vector(dim_);
   y.fill(0);
-  Vector contribution(dim_);
+  Vector scratch;  // grows to the widest factor, then is reused
   for (Index i = 0; i < size(); ++i) {
     if (x[i] == 0) continue;
-    items_[static_cast<std::size_t>(i)].apply(v, contribution);
-    y.add_scaled(contribution, x[i]);
+    items_[static_cast<std::size_t>(i)].accumulate(v, x[i], y, scratch);
   }
 }
 

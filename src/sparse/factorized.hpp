@@ -8,6 +8,7 @@
 //   exp(Phi) . A  = ||exp(Phi/2) Q||_F^2    (the bigDotExp identity)
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -79,30 +80,38 @@ class FactorizedPsd {
   /// y = (Q Q^T) x via two SpMVs. Thread-safe (no shared scratch).
   void apply(const Vector& x, Vector& y) const;
 
-  /// Y = (Q Q^T) X for a row-major dim() x b panel, via two SpMMs through
-  /// the caller-provided k x b scratch panel (resized as needed).
-  void apply_block(const Matrix& x, Matrix& y, Matrix& scratch) const;
+  /// y += w (Q Q^T) x: Q^T x into the caller's scratch (resized to
+  /// factor_cols(), capacity-preserving), then y_r += w (row r of Q) . that
+  /// over the non-empty rows r of Q only. Bitwise equal to apply() followed
+  /// by y.add_scaled(., w) for finite w (a skipped empty row would have
+  /// added w * 0, which leaves y unchanged unless y_r is -0 -- and a sum
+  /// started from +0 never is). Work O(nnz + non-empty rows).
+  void accumulate(const Vector& x, Real w, Vector& y, Vector& scratch) const;
 
-  /// As above, recycling `partial` for the owned-column scatter when the
-  /// factor has no transpose index (no-op scratch on the gather path); with
-  /// caller-owned buffers the whole application is allocation-free once
-  /// warm.
-  void apply_block(const Matrix& x, Matrix& y, Matrix& scratch,
-                   std::vector<Real>& partial) const;
+  /// Y += w (Q Q^T) X for row-major dim() x b panels: the transpose SpMM
+  /// Q^T X into the caller's k x b scratch (dispatched under `plan`, see
+  /// Csr::apply_transpose_block; `partial` recycles the owned-column
+  /// scatter's chunks), then Y[r,:] += w (Q[r,:] scratch) over Q's
+  /// non-empty rows through simd spmm_rows_accumulate. Bitwise equal to
+  /// the transpose SpMM, Csr::apply_block and Matrix::add_scaled in turn
+  /// (same argument as accumulate), at O(b (nnz + non-empty rows)) work
+  /// instead of O(b (nnz + dim())). Allocation-free once the scratch
+  /// buffers are warm.
+  void accumulate_block(const Matrix& x, Real w, Matrix& y, Matrix& scratch,
+                        std::vector<Real>& partial,
+                        const KernelPlan* plan) const;
 
-  /// As above under a caller-provided transpose KernelPlan (nullptr or
-  /// empty = this factor's own plan, built with its transpose index).
-  void apply_block(const Matrix& x, Matrix& y, Matrix& scratch,
-                   std::vector<Real>& partial, const KernelPlan* plan) const;
+  /// Float32 twin of accumulate_block for the mixed-precision sketch mode,
+  /// using the caller's float32 value copies of Q (FactorizedSet::
+  /// ensure_float_values builds and recycles them). Deterministic per ISA;
+  /// float rounding only.
+  void accumulate_block_f(const MatrixF& x, float w, MatrixF& y,
+                          MatrixF& scratch, std::span<const float> values_f,
+                          std::span<const float> t_values_f,
+                          std::vector<float>& partial) const;
 
-  /// Float32 twin of apply_block for the mixed-precision sketch mode: two
-  /// float SpMMs through the caller's scratch panel, using the caller's
-  /// float32 value copies of Q (FactorizedSet::ensure_float_values builds
-  /// and recycles them). Deterministic per ISA; float rounding only.
-  void apply_block_f(const MatrixF& x, MatrixF& y, MatrixF& scratch,
-                     std::span<const float> values_f,
-                     std::span<const float> t_values_f,
-                     std::vector<float>& partial) const;
+  /// The rows of Q holding a nonzero, ascending; built at construction.
+  std::span<const Index> nonempty_rows() const { return nonempty_rows_; }
 
   /// (Q Q^T) . S for a dense symmetric S: sum of column quadratic forms.
   Real dot_dense(const Matrix& s) const;
@@ -113,6 +122,7 @@ class FactorizedPsd {
  private:
   Csr q_;
   Real lambda_bound_ = 0;  ///< cached lambda_max(Q Q^T) upper bound
+  std::vector<Index> nonempty_rows_;  ///< see nonempty_rows()
 };
 
 /// The constraint set {A_i = Q_i Q_i^T}, plus totals used in the cost bounds
@@ -135,16 +145,23 @@ class FactorizedSet {
   /// Entries with weight zero are skipped.
   Csr weighted_sum(const Vector& x) const;
 
-  /// y = (sum_i x_i A_i) v without forming the sum.
+  /// y = (sum_i x_i A_i) v without forming the sum: one
+  /// FactorizedPsd::accumulate per nonzero weight, straight into y.
   void weighted_apply(const Vector& x, const Vector& v, Vector& y) const;
 
-  /// Y = (sum_i x_i A_i) V for a row-major dim() x b panel V, streaming
-  /// each factor once per panel (two SpMMs per constraint). Column t is
-  /// bit-identical to weighted_apply on column t. The workspace panels are
-  /// resized on first use and reusable across calls.
+  /// Y = (sum_i x_i A_i) V for a row-major dim() x b panel V: per nonzero
+  /// weight, the transpose SpMM S_i = Q_i^T V and then Y[r,:] += x_i
+  /// (Q_i[r,:] S_i) over Q_i's non-empty rows (FactorizedPsd::
+  /// accumulate_block), so the work is O(b sum_i nnz(Q_i) + m b), not
+  /// O(n m b). Column t is bit-identical to weighted_apply on column t
+  /// when every factor has a transpose index (all tall factors, and every
+  /// factor of a K > 1 sharded set). Without one, the panel transpose is
+  /// the owned-column scatter (fused on the vector backends, summed per
+  /// thread chunk) and the matvec a serial unfused sweep, so the two agree
+  /// only to rounding. The workspace panels are resized on first use and
+  /// reusable across calls.
   struct BlockWorkspace {
-    Matrix contribution;  ///< dim x b accumulator for one constraint
-    Matrix scratch;       ///< k_i x b intermediate Q_i^T V
+    Matrix scratch;  ///< k_i x b intermediate Q_i^T V
     /// Per-chunk accumulators of the owned-column transpose scatter
     /// (unused by factors with a transpose index); recycled across calls.
     std::vector<Real> transpose_partial;
@@ -156,8 +173,7 @@ class FactorizedSet {
 
     /// Float twins of the panels above, used only by the mixed-precision
     /// sketch mode (BigDotExpOptions::panel_precision).
-    MatrixF contribution_f;  ///< dim x b float accumulator
-    MatrixF scratch_f;       ///< k_i x b float intermediate
+    MatrixF scratch_f;  ///< k_i x b float intermediate
     std::vector<float> transpose_partial_f;
     /// Per-factor float32 copies of Q_i's values (and cached CSC values),
     /// built once by ensure_float_values and reused across panels, rounds,

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/bigdotexp.hpp"
 #include "linalg/blockop.hpp"
+#include "linalg/matrixf.hpp"
 #include "linalg/taylor.hpp"
+#include "par/parallel.hpp"
 #include "rand/jl.hpp"
 #include "rand/rng.hpp"
+#include "simd/simd.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/factorized.hpp"
 #include "test_helpers.hpp"
@@ -18,7 +22,18 @@ namespace psdp {
 namespace {
 
 using linalg::Matrix;
+using linalg::MatrixF;
 using linalg::Vector;
+
+struct ThreadGuard {
+  int before = par::num_threads();
+  ~ThreadGuard() { par::set_num_threads(before); }
+};
+
+template <typename T>
+bool same_bytes(const T* a, const T* b, Index n) {
+  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(T)) == 0;
+}
 
 sparse::Csr random_sparse(Index rows, Index cols, Index nnz_per_row,
                           std::uint64_t seed) {
@@ -232,7 +247,170 @@ TEST(FactorizedBlock, WeightedApplyBlockMatchesColumns) {
     linalg::panel_column(v, t, col);
     set.weighted_apply(weights, col, want);
     for (Index i = 0; i < 14; ++i) {
-      EXPECT_NEAR(y(i, t), want[i], 1e-13 * (1 + std::abs(want[i])));
+      EXPECT_TRUE(same_bytes(&y(i, t), &want[i], 1))
+          << "row " << i << " column " << t << ": " << y(i, t) << " vs "
+          << want[i];
+    }
+  }
+}
+
+/// n factors Q (m x k): `filled` distinct random rows carry `per_row`
+/// random entries each (duplicates summed), the rest stay empty.
+sparse::FactorizedSet patterned_set(Index m, Index k, Index n, Index filled,
+                                    Index per_row, std::uint64_t seed) {
+  rand::Rng rng(seed);
+  std::vector<sparse::FactorizedPsd> items;
+  for (Index f = 0; f < n; ++f) {
+    std::vector<Index> rows(static_cast<std::size_t>(m));
+    for (Index r = 0; r < m; ++r) rows[static_cast<std::size_t>(r)] = r;
+    for (Index r = 0; r < filled; ++r) {  // partial Fisher-Yates
+      std::swap(rows[static_cast<std::size_t>(r)],
+                rows[static_cast<std::size_t>(r + rng.uniform_index(m - r))]);
+    }
+    std::vector<sparse::Triplet> triplets;
+    for (Index r = 0; r < filled; ++r) {
+      for (Index e = 0; e < per_row; ++e) {
+        triplets.push_back({rows[static_cast<std::size_t>(r)],
+                            rng.uniform_index(k), rng.normal()});
+      }
+    }
+    items.push_back(sparse::FactorizedPsd(
+        sparse::Csr::from_triplets(m, k, std::move(triplets))));
+  }
+  return sparse::FactorizedSet(std::move(items));
+}
+
+/// The implicit Psi as the per-constraint composition it replaces: the
+/// transpose SpMM, a full-height SpMM, then a dense weighted add.
+Matrix composed_psi(const sparse::FactorizedSet& set, const Vector& w,
+                    const Matrix& v) {
+  Matrix y(set.dim(), v.cols());
+  Matrix s, c;
+  std::vector<Real> partial;
+  for (Index i = 0; i < set.size(); ++i) {
+    if (w[i] == 0) continue;
+    set[i].q().apply_transpose_block(v, s, partial);
+    set[i].q().apply_block(s, c);
+    y.add_scaled(c, w[i]);
+  }
+  return y;
+}
+
+MatrixF composed_psi_f(const sparse::FactorizedSet& set, const Vector& w,
+                       const MatrixF& v) {
+  MatrixF y(set.dim(), v.cols());
+  MatrixF s, c;
+  std::vector<float> values, t_values, partial;
+  for (Index i = 0; i < set.size(); ++i) {
+    if (w[i] == 0) continue;
+    const sparse::Csr& q = set[i].q();
+    q.fill_float_values(values, t_values);
+    q.apply_transpose_block_f(v, s, values, t_values, partial);
+    q.apply_block_f(s, c, values);
+    const auto wf = static_cast<float>(w[i]);
+    for (Index e = 0; e < y.rows() * y.cols(); ++e) {
+      y.data()[e] += wf * c.data()[e];
+    }
+  }
+  return y;
+}
+
+Vector composed_psi_vec(const sparse::FactorizedSet& set, const Vector& w,
+                        const Vector& v) {
+  Vector y(set.dim());
+  Vector s, c;
+  for (Index i = 0; i < set.size(); ++i) {
+    if (w[i] == 0) continue;
+    set[i].q().apply_transpose(v, s);
+    set[i].q().apply(s, c);
+    y.add_scaled(c, w[i]);
+  }
+  return y;
+}
+
+TEST(FactorizedPsd, NonemptyRowsListsExactlyTheRowsWithEntries) {
+  const sparse::FactorizedSet set = patterned_set(40, 3, 3, 7, 2, 90);
+  for (Index i = 0; i < set.size(); ++i) {
+    std::vector<Index> want;
+    for (Index r = 0; r < 40; ++r) {
+      if (!set[i].q().row_cols(r).empty()) want.push_back(r);
+    }
+    const auto rows = set[i].nonempty_rows();
+    EXPECT_EQ(std::vector<Index>(rows.begin(), rows.end()), want);
+    EXPECT_EQ(want.size(), 7u);
+    const sparse::FactorizedPsd scaled = set[i].scaled(2.5);
+    EXPECT_EQ(std::vector<Index>(scaled.nonempty_rows().begin(),
+                                 scaled.nonempty_rows().end()),
+              want);
+  }
+}
+
+TEST(FactorizedBlock, AccumulateIsBitwiseTheComposedPsi) {
+  ThreadGuard guard;
+  struct Shape {
+    const char* name;
+    sparse::FactorizedSet set;
+  };
+  const std::vector<Shape> shapes = {
+      // Tall and mostly empty (perfbench's shard-rounds factors, scaled
+      // down): transpose-index gathers, 24 of 256 rows filled.
+      {"tall-sparse", patterned_set(256, 4, 6, 24, 2, 91)},
+      // Every row filled and not tall: no transpose index, so the
+      // transpose runs the owned-column scatter.
+      {"full-wide", patterned_set(24, 8, 5, 24, 2, 92)},
+      // Large enough that the row loop fans out at 4 threads (b >= 8).
+      {"full-large", patterned_set(4096, 3, 2, 4096, 2, 93)},
+  };
+  const sparse::FactorizedPsd& large = shapes[2].set[0];
+  const auto large_rows = static_cast<Index>(large.nonempty_rows().size());
+  EXPECT_LT(par::work_grain(large_rows,
+                            static_cast<Real>(8 * (large.nnz() + large_rows))),
+            large_rows);
+
+  for (const Shape& shape : shapes) {
+    const sparse::FactorizedSet& set = shape.set;
+    const Index m = set.dim();
+    rand::Rng rng(94);
+    Vector weights(set.size());
+    for (Index i = 0; i < set.size(); ++i) weights[i] = rng.uniform();
+    weights[1] = 0;  // the zero-weight skip
+    for (const simd::Isa isa : simd::compiled_isas()) {
+      if (!simd::isa_available(isa)) continue;
+      simd::ScopedIsa forced(isa);
+      for (const int threads : {1, 4}) {
+        par::set_num_threads(threads);
+        for (const Index b : {1, 3, 8, 16, 32, 40}) {
+          const std::string where = std::string(shape.name) + " " +
+                                    simd::isa_name(isa) + " threads " +
+                                    std::to_string(threads) + " b " +
+                                    std::to_string(b);
+          const Matrix v = random_panel(m, b, 95 + static_cast<std::uint64_t>(b));
+          sparse::FactorizedSet::BlockWorkspace workspace;
+          Matrix y;
+          set.weighted_apply_block(weights, v, y, workspace);
+          const Matrix want = composed_psi(set, weights, v);
+          EXPECT_TRUE(same_bytes(y.data(), want.data(), m * b)) << where;
+
+          MatrixF vf(m, b);
+          for (Index e = 0; e < m * b; ++e) {
+            vf.data()[e] = static_cast<float>(v.data()[e]);
+          }
+          MatrixF yf;
+          set.weighted_apply_block_f(weights, vf, yf, workspace);
+          const MatrixF want_f = composed_psi_f(set, weights, vf);
+          EXPECT_TRUE(same_bytes(yf.data(), want_f.data(), m * b))
+              << where << " float";
+
+          if (b == 1) {
+            Vector col(m), y_vec;
+            linalg::panel_column(v, 0, col);
+            set.weighted_apply(weights, col, y_vec);
+            const Vector want_vec = composed_psi_vec(set, weights, col);
+            EXPECT_TRUE(same_bytes(y_vec.data(), want_vec.data(), m))
+                << where << " matvec";
+          }
+        }
+      }
     }
   }
 }
