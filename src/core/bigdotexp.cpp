@@ -196,9 +196,10 @@ void accumulate_dots_reference(const std::vector<Real>& s, Index dim, Index r,
 /// `block` sketch rows go through the Taylor recurrence and their
 /// contribution to every dots_i and to the trace is accumulated as soon as
 /// the panel's last Taylor step finishes, while the panel is cache-hot.
-/// Per panel and constraint, entry (row, c, v) of Q_i performs a contiguous
-/// length-b AXPY from the panel row into a k x b accumulator whose squared
-/// entries are the panel's share of ||S Q_i||_F^2. Nothing m x r is ever
+/// Per panel and constraint, the k x b block Q_i^T (panel) -- each entry
+/// (row, c, v) of Q_i a contiguous length-b AXPY from the panel row into
+/// block row c -- has squared entries that are the panel's share of
+/// ||S Q_i||_F^2. Nothing m x r is ever
 /// materialized, and S is neither written back nor re-read. All scratch --
 /// panels, Taylor recurrence, per-constraint accumulators -- lives in the
 /// caller-owned workspace, so repeated calls allocate nothing once warm.
@@ -228,20 +229,30 @@ Real sketch_exp_dots_fused(const linalg::BlockOp& phi_block, Index dim,
     trace += shards.sum(dim * b, [&](Index k) {
       return sq(ws.y_panel.data()[static_cast<std::size_t>(k)]);
     });
-    // Per constraint: the panel's rows scatter into a k_i x b accumulator
-    // through the dispatch seam (the scatter kernel is exactly this AXPY
-    // loop; its scalar backend is the verbatim pre-seam loop), then the
-    // accumulator's squared mass -- the panel's share of ||S Q_i||_F^2 --
-    // reduces through the same seam.
+    // Per constraint: the k_i x b block Q_i^T (panel) through the dispatch
+    // seam, then the block's squared mass -- the panel's share of
+    // ||S Q_i||_F^2 -- reduces through the same seam. Factors with a
+    // transpose index gather it column by column over their entries only;
+    // the others scatter every row into a zeroed block. Both reduce each
+    // output through one chain in ascending row order, so they agree
+    // bitwise (the scalar scatter is the verbatim pre-seam loop).
     const simd::KernelTable& kt = simd::active_kernels();
     shards.for_each_constraint(as, b, [&](Index i) {
       const sparse::Csr& q = as[i].q();
       const Index k = q.cols();
       std::vector<Real>& acc = ws.accumulators[static_cast<std::size_t>(i)];
-      acc.assign(static_cast<std::size_t>(k * b), 0.0);
-      kt.scatter_rows(q.row_offsets().data(), q.col_indices().data(),
-                      q.values().data(), 0, q.rows(), b, ws.y_panel.data(),
-                      acc.data());
+      if (q.has_transpose_index()) {
+        acc.resize(static_cast<std::size_t>(k * b));
+        kt.gather_panel(q.transpose_offsets().data(),
+                        q.transpose_rows().data(),
+                        q.transpose_values().data(), 0, k, b,
+                        ws.y_panel.data(), acc.data());
+      } else {
+        acc.assign(static_cast<std::size_t>(k * b), 0.0);
+        kt.scatter_rows(q.row_offsets().data(), q.col_indices().data(),
+                        q.values().data(), 0, q.rows(), b, ws.y_panel.data(),
+                        acc.data());
+      }
       dots[i] += kt.sum_sq(acc.data(), k * b);
       par::CostMeter::add_work(
           static_cast<std::uint64_t>(b * (2 * q.nnz() + 2 * k)));
@@ -300,10 +311,19 @@ Real sketch_exp_dots_fused_f(const linalg::BlockOpF& phi_block_f, Index dim,
           ws.factor.float_values[static_cast<std::size_t>(i)];
       std::vector<float>& acc =
           ws.accumulators_f[static_cast<std::size_t>(i)];
-      acc.assign(static_cast<std::size_t>(k * b), 0.0f);
-      kt.scatter_rows_f(q.row_offsets().data(), q.col_indices().data(),
-                        fv.values.data(), 0, q.rows(), b,
-                        ws.y_panel_f.data(), acc.data());
+      // The double path's gather-or-scatter choice, over float values (a
+      // float CSC copy exists exactly when the index did at its build).
+      if (!fv.t_values.empty()) {
+        acc.resize(static_cast<std::size_t>(k * b));
+        kt.gather_panel_f(q.transpose_offsets().data(),
+                          q.transpose_rows().data(), fv.t_values.data(), 0,
+                          k, b, ws.y_panel_f.data(), acc.data());
+      } else {
+        acc.assign(static_cast<std::size_t>(k * b), 0.0f);
+        kt.scatter_rows_f(q.row_offsets().data(), q.col_indices().data(),
+                          fv.values.data(), 0, q.rows(), b,
+                          ws.y_panel_f.data(), acc.data());
+      }
       dots[i] += kt.sum_sq_f(acc.data(), k * b);
       par::CostMeter::add_work(
           static_cast<std::uint64_t>(b * (2 * q.nnz() + 2 * k)));

@@ -7,6 +7,16 @@ namespace psdp::par {
 std::atomic<std::uint64_t> CostMeter::work_{0};
 std::atomic<std::uint64_t> CostMeter::depth_{0};
 
+namespace {
+thread_local bool t_depth_muted = false;  ///< see CostMeter::ScopedDepthMute
+}  // namespace
+
+CostMeter::ScopedDepthMute::ScopedDepthMute() : prev_(t_depth_muted) {
+  t_depth_muted = true;
+}
+
+CostMeter::ScopedDepthMute::~ScopedDepthMute() { t_depth_muted = prev_; }
+
 void CostMeter::reset() {
   work_.store(0, std::memory_order_relaxed);
   depth_.store(0, std::memory_order_relaxed);
@@ -21,7 +31,7 @@ void CostMeter::add_depth(std::uint64_t d) {
   // a parallel region run concurrently, so their depth is not on the
   // critical path (the driving step charges it once instead). Without this
   // guard, r-way-parallel kernel fan-outs inflate depth r-fold.
-  if (ThreadPool::current_thread_is_worker()) return;
+  if (t_depth_muted || ThreadPool::current_thread_is_worker()) return;
   depth_.fetch_add(d, std::memory_order_relaxed);
 }
 

@@ -17,6 +17,19 @@
 //    Enforced: add_depth calls made from pool worker threads are dropped,
 //    so kernels reused inside a parallel region do not multiply the
 //    critical path by the fan-out (the driving step charges it once).
+//    A driver that runs kernels inside its own region -- where the caller
+//    thread takes chunks too -- mutes its thread for the region
+//    (ScopedDepthMute) and charges the region's depth itself, so the
+//    count never depends on the pool width.
+//  * One implicit Psi application (FactorizedSet::weighted_apply,
+//    weighted_apply_block and its float twin) charges depth
+//      reduction_depth(m) + reduction_depth(max_r sum_i nnz(Q_i[r,:]))
+//    once, from the driver, whatever the weights, panel width and thread
+//    count: every factor's transpose Q_i^T V runs at once (an output of
+//    Q_i^T reduces at most m entries), then every output row reduces its
+//    entries across all constraints. Its work is what the composed
+//    kernels charge: 4 b nnz(Q_i) per nonzero weight x_i for a b-column
+//    panel (2 b nnz(Q_i) each for the transpose and the row pass).
 //
 // Metering is compiled in but costs one relaxed atomic add per kernel call,
 // which is negligible next to the kernels themselves.
@@ -47,6 +60,19 @@ class CostMeter {
 
   /// Current counters.
   static Cost snapshot();
+
+  /// While alive, add_depth calls from the constructing thread are
+  /// dropped (see the charging convention above). Nests.
+  class ScopedDepthMute {
+   public:
+    ScopedDepthMute();
+    ~ScopedDepthMute();
+    ScopedDepthMute(const ScopedDepthMute&) = delete;
+    ScopedDepthMute& operator=(const ScopedDepthMute&) = delete;
+
+   private:
+    bool prev_;
+  };
 
  private:
   static std::atomic<std::uint64_t> work_;

@@ -168,20 +168,37 @@ ArtifactCache::Resolved ArtifactCache::get(const std::string& key,
   PSDP_CHECK(build != nullptr, "serve: ArtifactCache::get needs a builder");
   std::shared_ptr<Entry> entry;
   bool inserted = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> build_lock;
+  const auto find_locked = [&]() -> std::shared_ptr<Entry> {
     for (Slot& slot : slots_) {
       if (slot.entry->key_ == key) {
         slot.last_used = ++tick_;
-        entry = slot.entry;
-        break;
+        return slot.entry;
       }
     }
+    return nullptr;
+  };
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    entry = find_locked();
+  }
+  if (!entry) {
+    // A new key. The inserting lane holds the entry's build lock before
+    // the entry becomes visible, so a lane that finds it always waits for
+    // this build. Otherwise that lane could take the build lock first,
+    // build the entry itself, and both lanes would report a miss. The
+    // build lock is taken before the cache lock, the order the failed-
+    // build cleanup below uses too.
+    auto fresh = std::make_shared<Entry>();
+    fresh->key_ = key;
+    fresh->pool_cap_ = options_.workspaces_per_entry;
+    fresh->owner_ = this;
+    std::unique_lock<std::mutex> fresh_lock(fresh->build_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    entry = find_locked();  // another lane may have inserted it meanwhile
     if (!entry) {
-      entry = std::make_shared<Entry>();
-      entry->key_ = key;
-      entry->pool_cap_ = options_.workspaces_per_entry;
-      entry->owner_ = this;
+      entry = std::move(fresh);
+      build_lock = std::move(fresh_lock);
       insert_slot_locked(entry);
       inserted = true;
       ++stats_.misses;
@@ -190,29 +207,30 @@ ArtifactCache::Resolved ArtifactCache::get(const std::string& key,
   // Build (or wait for the building lane) outside the cache lock: prepare
   // can run eigensolves and index builds, and other keys must not stall
   // behind it.
+  if (!build_lock.owns_lock()) {
+    build_lock = std::unique_lock<std::mutex>(entry->build_mutex_);
+  }
   bool built_by_us = false;
-  {
-    std::lock_guard<std::mutex> build_lock(entry->build_mutex_);
-    if (!entry->built_) {
-      // Either we inserted the shell, or the inserting lane's builder threw
-      // and we are the retry.
-      built_by_us = true;
-      try {
-        entry->instance_ = build(plan_options());
-        entry->instance_.validate();
-        entry->built_ = true;
-      } catch (...) {
-        // Leave no half-built entry behind: a later get() must retry.
-        std::lock_guard<std::mutex> lock(mutex_);
-        slots_.erase(std::remove_if(slots_.begin(), slots_.end(),
-                                    [&](const Slot& s) {
-                                      return s.entry == entry;
-                                    }),
-                     slots_.end());
-        throw;
-      }
+  if (!entry->built_) {
+    // Either we inserted the shell, or the inserting lane's builder threw
+    // and we are the retry.
+    built_by_us = true;
+    try {
+      entry->instance_ = build(plan_options());
+      entry->instance_.validate();
+      entry->built_ = true;
+    } catch (...) {
+      // Leave no half-built entry behind: a later get() must retry.
+      std::lock_guard<std::mutex> lock(mutex_);
+      slots_.erase(std::remove_if(slots_.begin(), slots_.end(),
+                                  [&](const Slot& s) {
+                                    return s.entry == entry;
+                                  }),
+                   slots_.end());
+      throw;
     }
   }
+  build_lock.unlock();
   const bool hit = !inserted && !built_by_us;
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -11,8 +11,8 @@
 //
 // The float kernels are new with the mixed-precision mode (no pre-PR
 // anchor); they mirror the double loops with plain float multiply+add so
-// the backend stays internally consistent. spmm_rows_accumulate is new
-// too; its anchor is spmm_rows followed by Matrix::add_scaled.
+// the backend stays internally consistent. psi_rows is new too; its
+// anchor is spmm_rows followed by Matrix::add_scaled, per constraint.
 
 #include <algorithm>
 #include <cmath>
@@ -141,28 +141,34 @@ void spmm_rows_impl(const Index* offsets, const Index* cols, const T* values,
   }
 }
 
-/// spmm_rows_impl's row reduction into a column tile, then the
-/// add_scaled update out += w * acc (separate multiply and add).
+/// The implicit-Psi row pass: per output row and column tile, each
+/// segment's spmm_rows_impl reduction, then the add_scaled update
+/// sum += w * acc (separate multiply and add), the sum starting at +0.
 template <typename T>
-void spmm_rows_accumulate_impl(const Index* offsets, const Index* cols,
-                               const T* values, const Index* rows, Index kb,
-                               Index ke, Index b, T w, const T* x, T* y) {
+void psi_rows_impl(const Index* row_segs, const PsiSegment* segs,
+                   const PsiTerm<T>* terms, Index ib, Index ie, Index b,
+                   T* y) {
   constexpr Index kTile = 32;
   T acc[kTile];
-  for (Index k = kb; k < ke; ++k) {
-    const Index i = rows[k];
+  T sum[kTile];
+  for (Index i = ib; i < ie; ++i) {
     T* out = y + i * b;
-    const Index e0 = offsets[i];
-    const Index e1 = offsets[i + 1];
     for (Index t0 = 0; t0 < b; t0 += kTile) {
       const Index width = std::min(kTile, b - t0);
-      std::fill(acc, acc + width, T{0});
-      for (Index e = e0; e < e1; ++e) {
-        const T v = values[e];
-        const T* in = x + cols[e] * b + t0;
-        for (Index t = 0; t < width; ++t) acc[t] += v * in[t];
+      std::fill(sum, sum + width, T{0});
+      for (Index k = row_segs[i]; k < row_segs[i + 1]; ++k) {
+        const PsiSegment& seg = segs[k];
+        const PsiTerm<T>& term = terms[seg.term];
+        if (term.s == nullptr) continue;
+        std::fill(acc, acc + width, T{0});
+        for (Index e = seg.begin; e < seg.end; ++e) {
+          const T v = term.values[e];
+          const T* in = term.s + term.cols[e] * b + t0;
+          for (Index t = 0; t < width; ++t) acc[t] += v * in[t];
+        }
+        for (Index t = 0; t < width; ++t) sum[t] += term.w * acc[t];
       }
-      for (Index t = 0; t < width; ++t) out[t0 + t] += w * acc[t];
+      std::copy(sum, sum + width, out + t0);
     }
   }
 }
@@ -197,11 +203,10 @@ void s_spmm_rows(const Index* offsets, const Index* cols, const double* values,
   spmm_rows_impl(offsets, cols, values, ib, ie, b, x, y);
 }
 
-void s_spmm_rows_accumulate(const Index* offsets, const Index* cols,
-                            const double* values, const Index* rows, Index kb,
-                            Index ke, Index b, double w, const double* x,
-                            double* y) {
-  spmm_rows_accumulate_impl(offsets, cols, values, rows, kb, ke, b, w, x, y);
+void s_psi_rows(const Index* row_segs, const PsiSegment* segs,
+                const PsiTerm<double>* terms, Index ib, Index ie, Index b,
+                double* y) {
+  psi_rows_impl(row_segs, segs, terms, ib, ie, b, y);
 }
 
 void s_gather_panel(const Index* offsets, const Index* rows,
@@ -268,11 +273,10 @@ void s_spmm_rows_f(const Index* offsets, const Index* cols,
   spmm_rows_impl(offsets, cols, values, ib, ie, b, x, y);
 }
 
-void s_spmm_rows_accumulate_f(const Index* offsets, const Index* cols,
-                              const float* values, const Index* rows,
-                              Index kb, Index ke, Index b, float w,
-                              const float* x, float* y) {
-  spmm_rows_accumulate_impl(offsets, cols, values, rows, kb, ke, b, w, x, y);
+void s_psi_rows_f(const Index* row_segs, const PsiSegment* segs,
+                  const PsiTerm<float>* terms, Index ib, Index ie, Index b,
+                  float* y) {
+  psi_rows_impl(row_segs, segs, terms, ib, ie, b, y);
 }
 
 void s_gather_panel_f(const Index* offsets, const Index* rows,
@@ -298,14 +302,14 @@ const KernelTable* scalar_kernel_table() {
   static const KernelTable table = [] {
     KernelTable t;
     t.spmm_rows = &scalar::s_spmm_rows;
-    t.spmm_rows_accumulate = &scalar::s_spmm_rows_accumulate;
+    t.psi_rows = &scalar::s_psi_rows;
     t.gather_panel = &scalar::s_gather_panel;
     t.gather_window = &scalar::s_gather_window;
     t.scatter_rows = &scalar::s_scatter_rows;
     t.taylor_step = &scalar::s_taylor_step;
     t.sum_sq = &scalar::s_sum_sq;
     t.spmm_rows_f = &scalar::s_spmm_rows_f;
-    t.spmm_rows_accumulate_f = &scalar::s_spmm_rows_accumulate_f;
+    t.psi_rows_f = &scalar::s_psi_rows_f;
     t.gather_panel_f = &scalar::s_gather_panel_f;
     t.scatter_rows_f = &scalar::s_scatter_rows_f;
     t.taylor_step_f = &scalar::s_taylor_step_f;

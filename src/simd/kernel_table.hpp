@@ -17,9 +17,32 @@
 //    chunking; every kernel is pure over its range (no hidden state).
 #pragma once
 
+#include <cstdint>
+
 #include "util/common.hpp"
 
 namespace psdp::simd {
+
+/// One constraint's operands in the implicit-Psi row pass (psi_rows): the
+/// CSR columns and values of its factor Q_i, its k_i x b row-major panel
+/// S_i = Q_i^T V, and its weight x_i. A null `s` marks a zero weight: the
+/// row pass skips the term's segments.
+template <typename T>
+struct PsiTerm {
+  const Index* cols = nullptr;
+  const T* values = nullptr;
+  const T* s = nullptr;
+  T w = 0;
+};
+
+/// One (row, constraint) pair of the implicit-Psi row pass: Q_term's
+/// entries of that row are its CSR entries [begin, end). 32-bit fields
+/// keep the index at 12 bytes a segment.
+struct PsiSegment {
+  std::uint32_t term;
+  std::uint32_t begin;
+  std::uint32_t end;
+};
 
 /// The kernels one backend provides. All pointers are always non-null.
 struct KernelTable {
@@ -32,17 +55,19 @@ struct KernelTable {
                     const double* values, Index ib, Index ie, Index b,
                     const double* x, double* y);
 
-  /// Row-list SpMM accumulate, the implicit-Psi row step: for each listed
-  /// row i = rows[k], k in [kb, ke), y[i*b .. i*b+b) += w * (spmm_rows'
-  /// reduction of row i over x). Each row reduces through spmm_rows' own
-  /// per-element chain and the weighted add is a rounded product, then an
-  /// add (never contracted), so a listed row gets exactly the bits of
-  /// spmm_rows into a temporary followed by Matrix::add_scaled; rows not
-  /// listed are never touched. Listed rows must be distinct.
-  void (*spmm_rows_accumulate)(const Index* offsets, const Index* cols,
-                               const double* values, const Index* rows,
-                               Index kb, Index ke, Index b, double w,
-                               const double* x, double* y);
+  /// The implicit-Psi row pass: for each output row i in [ib, ie),
+  /// y[i*b .. i*b+b) = sum over the row's segments s = segs[row_segs[i]
+  /// .. row_segs[i+1]), in order, of terms[s.term].w * (spmm_rows'
+  /// reduction of that term's entries [s.begin, s.end) over its panel
+  /// terms[s.term].s). The sum starts at +0, each segment's row reduces
+  /// through spmm_rows' own per-element chain, and each weighted add is a
+  /// rounded product, then an add (never contracted) -- so the row gets
+  /// exactly the bits of spmm_rows into a temporary followed by
+  /// Matrix::add_scaled, segment by segment. Segments whose term has a
+  /// null panel are skipped; rows without segments are written as zeros.
+  void (*psi_rows)(const Index* row_segs, const PsiSegment* segs,
+                   const PsiTerm<double>* terms, Index ib, Index ie, Index b,
+                   double* y);
 
   /// Column-range CSC gather: for each output column j in [jb, je),
   /// y[j*b ..) = the serial ascending-row reduction of column j's entries
@@ -64,7 +89,8 @@ struct KernelTable {
   /// Row-range CSR transpose scatter: for each row i in [ib, ie) and each
   /// entry (i, cols[k], v), y[cols[k]*b ..) += v * x[i*b ..). Accumulates
   /// into y (callers zero or chunk-combine). Also the fused per-constraint
-  /// dot accumulation of bigdotexp (scatter of Q over the exp panel).
+  /// dot blocks of bigdotexp for factors without a transpose index (the
+  /// indexed ones gather through gather_panel, bitwise the same).
   void (*scatter_rows)(const Index* offsets, const Index* cols,
                        const double* values, Index ib, Index ie, Index b,
                        const double* x, double* y);
@@ -88,11 +114,10 @@ struct KernelTable {
                       const float* values, Index ib, Index ie, Index b,
                       const float* x, float* y);
 
-  /// spmm_rows_accumulate over float values and panels (float weight).
-  void (*spmm_rows_accumulate_f)(const Index* offsets, const Index* cols,
-                                 const float* values, const Index* rows,
-                                 Index kb, Index ke, Index b, float w,
-                                 const float* x, float* y);
+  /// psi_rows over float values, panels and weights.
+  void (*psi_rows_f)(const Index* row_segs, const PsiSegment* segs,
+                     const PsiTerm<float>* terms, Index ib, Index ie,
+                     Index b, float* y);
 
   /// gather_panel over float values and panels.
   void (*gather_panel_f)(const Index* offsets, const Index* rows,

@@ -12,8 +12,7 @@
 // sparse layer's cross-kernel bitwise guarantees. Two deliberate
 // exceptions round the product before adding: taylor_step (it must match
 // the scalar backend bit-for-bit, see kernel_table.hpp) and the weighted
-// add that ends each row of spmm_rows_accumulate (it must match
-// Matrix::add_scaled).
+// adds of psi_rows (they must match Matrix::add_scaled).
 #pragma once
 
 #ifndef PSDP_SIMD_NS
@@ -256,121 +255,116 @@ void spmm_dispatch(const Index* offsets, const Index* cols, const T* values,
   }
 }
 
-// --- row-list SpMM accumulate (the implicit-Psi row step) ---------------
+// --- implicit-Psi row pass ---------------------------------------------
 
-/// Listed row i over columns [t0, t0 + B) of a row-major panel with `ld`
-/// columns: spmm_w's fused reduction of the row, then out += w * acc as a
-/// rounded product and an add -- taylor_step's no-contraction rule (the
-/// build passes -ffp-contract=off, so the pair is never fused), which is
-/// Matrix::add_scaled's per-element chain.
+/// One output row over columns [t0, t0 + B) of row-major panels with `ld`
+/// columns: per segment in order, spmm_w's fused reduction of the term's
+/// entries, then sum += w * acc as a rounded product and an add --
+/// taylor_step's no-contraction rule (the build passes -ffp-contract=off,
+/// so the pair is never fused), which is Matrix::add_scaled's per-element
+/// chain. The sum starts at +0 and stays in registers across segments; it
+/// is stored once, into out[0..B).
 template <typename V, typename T, int B>
-inline void accumulate_row_w(const Index* offsets, const Index* cols,
-                             const T* values, Index i, Index t0, Index ld,
-                             T w, const T* x, T* y) {
+inline void psi_row_w(const PsiSegment* sb, const PsiSegment* se,
+                      const PsiTerm<T>* terms, Index t0, Index ld, T* out) {
   constexpr Index kL = V::kLanes;
-  const Index e0 = offsets[i];
-  const Index e1 = offsets[i + 1];
-  T* out = y + i * ld + t0;
   if constexpr (B >= kL) {
     constexpr int kNV = B / kL;
-    V acc[kNV];
-    for (int q = 0; q < kNV; ++q) acc[q] = V::zero();
-    for (Index e = e0; e < e1; ++e) {
-      const V vv = V::broadcast(values[e]);
-      const T* in = x + cols[e] * ld + t0;
-      for (int q = 0; q < kNV; ++q) {
-        acc[q] = V::fma(vv, V::load(in + q * kL), acc[q]);
+    V sum[kNV];
+    for (int q = 0; q < kNV; ++q) sum[q] = V::zero();
+    for (const PsiSegment* seg = sb; seg != se; ++seg) {
+      const PsiTerm<T>& term = terms[seg->term];
+      if (term.s == nullptr) continue;
+      V acc[kNV];
+      for (int q = 0; q < kNV; ++q) acc[q] = V::zero();
+      for (Index e = seg->begin; e < seg->end; ++e) {
+        const V vv = V::broadcast(term.values[e]);
+        const T* in = term.s + term.cols[e] * ld + t0;
+        for (int q = 0; q < kNV; ++q) {
+          acc[q] = V::fma(vv, V::load(in + q * kL), acc[q]);
+        }
       }
+      const V vw = V::broadcast(term.w);
+      for (int q = 0; q < kNV; ++q) sum[q] = V::add(sum[q], V::mul(vw, acc[q]));
     }
-    const V vw = V::broadcast(w);
-    for (int q = 0; q < kNV; ++q) {
-      V::add(V::load(out + q * kL), V::mul(vw, acc[q])).store(out + q * kL);
-    }
+    for (int q = 0; q < kNV; ++q) sum[q].store(out + q * kL);
   } else {
-    T acc[B] = {};
-    for (Index e = e0; e < e1; ++e) {
-      const T v = values[e];
-      const T* in = x + cols[e] * ld + t0;
-      if constexpr (std::is_same_v<T, double>) {
-        for (int t = 0; t < B; ++t) acc[t] = fma_s(v, in[t], acc[t]);
-      } else {
-        for (int t = 0; t < B; ++t) acc[t] = fma_sf(v, in[t], acc[t]);
+    T sum[B] = {};
+    for (const PsiSegment* seg = sb; seg != se; ++seg) {
+      const PsiTerm<T>& term = terms[seg->term];
+      if (term.s == nullptr) continue;
+      T acc[B] = {};
+      for (Index e = seg->begin; e < seg->end; ++e) {
+        const T v = term.values[e];
+        const T* in = term.s + term.cols[e] * ld + t0;
+        if constexpr (std::is_same_v<T, double>) {
+          for (int t = 0; t < B; ++t) acc[t] = fma_s(v, in[t], acc[t]);
+        } else {
+          for (int t = 0; t < B; ++t) acc[t] = fma_sf(v, in[t], acc[t]);
+        }
       }
+      for (int t = 0; t < B; ++t) sum[t] += term.w * acc[t];
     }
-    for (int t = 0; t < B; ++t) out[t] += w * acc[t];
+    for (int t = 0; t < B; ++t) out[t] = sum[t];
   }
 }
 
 template <typename V, typename T, int B>
-void accumulate_w(const Index* offsets, const Index* cols, const T* values,
-                  const Index* rows, Index kb, Index ke, T w, const T* x,
-                  T* y) {
-  for (Index k = kb; k < ke; ++k) {
-    accumulate_row_w<V, T, B>(offsets, cols, values, rows[k], 0, B, w, x, y);
+void psi_rows_w(const Index* row_segs, const PsiSegment* segs,
+                const PsiTerm<T>* terms, Index ib, Index ie, T* y) {
+  for (Index i = ib; i < ie; ++i) {
+    psi_row_w<V, T, B>(segs + row_segs[i], segs + row_segs[i + 1], terms, 0,
+                       B, y + i * B);
   }
 }
 
 /// Other widths: each row in column tiles of 32, 16, ..., 1. Every output
-/// element still reduces through the one fused chain from zero, so the
-/// tiling changes no bit.
+/// element still reduces through the one chain per segment, so the tiling
+/// changes no bit.
 template <typename V, typename T>
-void accumulate_any(const Index* offsets, const Index* cols, const T* values,
-                    const Index* rows, Index kb, Index ke, Index b, T w,
-                    const T* x, T* y) {
-  for (Index k = kb; k < ke; ++k) {
-    const Index i = rows[k];
+void psi_rows_any(const Index* row_segs, const PsiSegment* segs,
+                  const PsiTerm<T>* terms, Index ib, Index ie, Index b,
+                  T* y) {
+  for (Index i = ib; i < ie; ++i) {
+    const PsiSegment* sb = segs + row_segs[i];
+    const PsiSegment* se = segs + row_segs[i + 1];
+    T* out = y + i * b;
     Index t0 = 0;
     for (; t0 + 32 <= b; t0 += 32) {
-      accumulate_row_w<V, T, 32>(offsets, cols, values, i, t0, b, w, x, y);
+      psi_row_w<V, T, 32>(sb, se, terms, t0, b, out + t0);
     }
     if (b - t0 >= 16) {
-      accumulate_row_w<V, T, 16>(offsets, cols, values, i, t0, b, w, x, y);
+      psi_row_w<V, T, 16>(sb, se, terms, t0, b, out + t0);
       t0 += 16;
     }
     if (b - t0 >= 8) {
-      accumulate_row_w<V, T, 8>(offsets, cols, values, i, t0, b, w, x, y);
+      psi_row_w<V, T, 8>(sb, se, terms, t0, b, out + t0);
       t0 += 8;
     }
     if (b - t0 >= 4) {
-      accumulate_row_w<V, T, 4>(offsets, cols, values, i, t0, b, w, x, y);
+      psi_row_w<V, T, 4>(sb, se, terms, t0, b, out + t0);
       t0 += 4;
     }
     if (b - t0 >= 2) {
-      accumulate_row_w<V, T, 2>(offsets, cols, values, i, t0, b, w, x, y);
+      psi_row_w<V, T, 2>(sb, se, terms, t0, b, out + t0);
       t0 += 2;
     }
-    if (b - t0 >= 1) {
-      accumulate_row_w<V, T, 1>(offsets, cols, values, i, t0, b, w, x, y);
-    }
+    if (b - t0 >= 1) psi_row_w<V, T, 1>(sb, se, terms, t0, b, out + t0);
   }
 }
 
 template <typename V, typename T>
-void accumulate_dispatch(const Index* offsets, const Index* cols,
-                         const T* values, const Index* rows, Index kb,
-                         Index ke, Index b, T w, const T* x, T* y) {
+void psi_rows_dispatch(const Index* row_segs, const PsiSegment* segs,
+                       const PsiTerm<T>* terms, Index ib, Index ie, Index b,
+                       T* y) {
   switch (b) {
-    case 1:
-      accumulate_w<V, T, 1>(offsets, cols, values, rows, kb, ke, w, x, y);
-      break;
-    case 2:
-      accumulate_w<V, T, 2>(offsets, cols, values, rows, kb, ke, w, x, y);
-      break;
-    case 4:
-      accumulate_w<V, T, 4>(offsets, cols, values, rows, kb, ke, w, x, y);
-      break;
-    case 8:
-      accumulate_w<V, T, 8>(offsets, cols, values, rows, kb, ke, w, x, y);
-      break;
-    case 16:
-      accumulate_w<V, T, 16>(offsets, cols, values, rows, kb, ke, w, x, y);
-      break;
-    case 32:
-      accumulate_w<V, T, 32>(offsets, cols, values, rows, kb, ke, w, x, y);
-      break;
-    default:
-      accumulate_any<V>(offsets, cols, values, rows, kb, ke, b, w, x, y);
-      break;
+    case 1: psi_rows_w<V, T, 1>(row_segs, segs, terms, ib, ie, y); break;
+    case 2: psi_rows_w<V, T, 2>(row_segs, segs, terms, ib, ie, y); break;
+    case 4: psi_rows_w<V, T, 4>(row_segs, segs, terms, ib, ie, y); break;
+    case 8: psi_rows_w<V, T, 8>(row_segs, segs, terms, ib, ie, y); break;
+    case 16: psi_rows_w<V, T, 16>(row_segs, segs, terms, ib, ie, y); break;
+    case 32: psi_rows_w<V, T, 32>(row_segs, segs, terms, ib, ie, y); break;
+    default: psi_rows_any<V>(row_segs, segs, terms, ib, ie, b, y); break;
   }
 }
 
@@ -437,12 +431,10 @@ inline void k_spmm_rows(const Index* offsets, const Index* cols,
   impl::spmm_dispatch<VecD>(offsets, cols, values, ib, ie, b, x, y);
 }
 
-inline void k_spmm_rows_accumulate(const Index* offsets, const Index* cols,
-                                   const double* values, const Index* rows,
-                                   Index kb, Index ke, Index b, double w,
-                                   const double* x, double* y) {
-  impl::accumulate_dispatch<VecD>(offsets, cols, values, rows, kb, ke, b, w,
-                                  x, y);
+inline void k_psi_rows(const Index* row_segs, const PsiSegment* segs,
+                       const PsiTerm<double>* terms, Index ib, Index ie,
+                       Index b, double* y) {
+  impl::psi_rows_dispatch<VecD>(row_segs, segs, terms, ib, ie, b, y);
 }
 
 inline void k_gather_panel(const Index* offsets, const Index* rows,
@@ -508,12 +500,10 @@ inline void k_spmm_rows_f(const Index* offsets, const Index* cols,
   impl::spmm_dispatch<VecF>(offsets, cols, values, ib, ie, b, x, y);
 }
 
-inline void k_spmm_rows_accumulate_f(const Index* offsets, const Index* cols,
-                                     const float* values, const Index* rows,
-                                     Index kb, Index ke, Index b, float w,
-                                     const float* x, float* y) {
-  impl::accumulate_dispatch<VecF>(offsets, cols, values, rows, kb, ke, b, w,
-                                  x, y);
+inline void k_psi_rows_f(const Index* row_segs, const PsiSegment* segs,
+                         const PsiTerm<float>* terms, Index ib, Index ie,
+                         Index b, float* y) {
+  impl::psi_rows_dispatch<VecF>(row_segs, segs, terms, ib, ie, b, y);
 }
 
 inline void k_gather_panel_f(const Index* offsets, const Index* rows,
@@ -536,14 +526,14 @@ inline void k_taylor_step_f(float* next, float* y, float scale, Index lo,
 inline KernelTable make_kernel_table() {
   KernelTable table;
   table.spmm_rows = &k_spmm_rows;
-  table.spmm_rows_accumulate = &k_spmm_rows_accumulate;
+  table.psi_rows = &k_psi_rows;
   table.gather_panel = &k_gather_panel;
   table.gather_window = &k_gather_window;
   table.scatter_rows = &k_scatter_rows;
   table.taylor_step = &k_taylor_step;
   table.sum_sq = &k_sum_sq;
   table.spmm_rows_f = &k_spmm_rows_f;
-  table.spmm_rows_accumulate_f = &k_spmm_rows_accumulate_f;
+  table.psi_rows_f = &k_psi_rows_f;
   table.gather_panel_f = &k_gather_panel_f;
   table.scatter_rows_f = &k_scatter_rows_f;
   table.taylor_step_f = &k_taylor_step_f;

@@ -114,6 +114,15 @@ class Csr {
   void build_transpose_index();
   /// True once build_transpose_index() has run.
   bool has_transpose_index() const { return t_built_; }
+  /// The cached CSC view (empty before build_transpose_index()): column
+  /// offsets (cols()+1 entries), the row of each entry (ascending within
+  /// each column) and its value -- the operands of the simd gather
+  /// kernels, for callers that run them inside their own parallel loops.
+  std::span<const Index> transpose_offsets() const { return t_offsets_; }
+  /// Row index of each CSC entry (see transpose_offsets()).
+  std::span<const Index> transpose_rows() const { return t_rows_; }
+  /// Value of each CSC entry (see transpose_offsets()).
+  std::span<const Real> transpose_values() const { return t_values_; }
   /// True when the segment grid (and with it the segmented gather) exists.
   bool has_segment_index() const { return t_segment_rows_ > 0; }
   /// Base row granularity of the segment grid (0 = no grid).

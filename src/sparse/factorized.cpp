@@ -1,6 +1,9 @@
 #include "sparse/factorized.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "linalg/eig.hpp"
 #include "linalg/matfunc.hpp"
@@ -34,26 +37,6 @@ Real factor_lambda_max_bound(const Csr& q) {
   }
   const Real lmax = linalg::lambda_max_exact(gram) * (1 + 1e-9);
   return std::min(std::max<Real>(lmax, 0), trace);
-}
-
-/// The row step of the accumulate forms: y[r,:] += w (Q[r,:] s) over the
-/// listed rows through a spmm_rows_accumulate kernel, work-gated over the
-/// list (outputs are disjoint per row, so the chunking changes no bit).
-/// Charges what Csr::apply_block charges for the SpMM it replaces.
-template <typename T>
-void accumulate_rows(const Csr& q, std::span<const Index> rows,
-                     const T* values,
-                     void (*kernel)(const Index*, const Index*, const T*,
-                                    const Index*, Index, Index, Index, T,
-                                    const T*, T*),
-                     Index b, T w, const T* s, T* y) {
-  const auto count = static_cast<Index>(rows.size());
-  par::parallel_for_chunked(0, count, [&](Index kb, Index ke) {
-    kernel(q.row_offsets().data(), q.col_indices().data(), values,
-           rows.data(), kb, ke, b, w, s, y);
-  }, par::work_grain(count, static_cast<Real>(b * (q.nnz() + count))));
-  par::CostMeter::add_work(static_cast<std::uint64_t>(2 * q.nnz() * b));
-  par::CostMeter::add_depth(par::reduction_depth(q.cols()));
 }
 
 }  // namespace
@@ -126,43 +109,6 @@ void FactorizedPsd::apply(const Vector& x, Vector& y) const {
   q_.apply(scratch, y);
 }
 
-void FactorizedPsd::accumulate(const Vector& x, Real w, Vector& y,
-                               Vector& scratch) const {
-  PSDP_CHECK(y.size() == dim(), "factorized accumulate: dimension mismatch");
-  scratch.resize(q_.cols());
-  q_.apply_transpose(x, scratch);
-  accumulate_rows(q_, nonempty_rows_, q_.values().data(),
-                  simd::active_kernels().spmm_rows_accumulate, 1, w,
-                  scratch.data(), y.data());
-}
-
-void FactorizedPsd::accumulate_block(const Matrix& x, Real w, Matrix& y,
-                                     Matrix& scratch,
-                                     std::vector<Real>& partial,
-                                     const KernelPlan* plan) const {
-  PSDP_CHECK(y.rows() == dim() && y.cols() == x.cols(),
-             "factorized accumulate_block: panel shape mismatch");
-  q_.apply_transpose_block(x, scratch, partial, plan);
-  accumulate_rows(q_, nonempty_rows_, q_.values().data(),
-                  simd::active_kernels().spmm_rows_accumulate, x.cols(), w,
-                  scratch.data(), y.data());
-}
-
-void FactorizedPsd::accumulate_block_f(const MatrixF& x, float w, MatrixF& y,
-                                       MatrixF& scratch,
-                                       std::span<const float> values_f,
-                                       std::span<const float> t_values_f,
-                                       std::vector<float>& partial) const {
-  PSDP_CHECK(y.rows() == dim() && y.cols() == x.cols(),
-             "factorized accumulate_block_f: panel shape mismatch");
-  PSDP_CHECK(static_cast<Index>(values_f.size()) == nnz(),
-             "factorized accumulate_block_f: float value copy out of date");
-  q_.apply_transpose_block_f(x, scratch, values_f, t_values_f, partial);
-  accumulate_rows(q_, nonempty_rows_, values_f.data(),
-                  simd::active_kernels().spmm_rows_accumulate_f, x.cols(), w,
-                  scratch.data(), y.data());
-}
-
 Real FactorizedPsd::dot_dense(const Matrix& s) const {
   PSDP_CHECK(s.rows() == dim() && s.cols() == dim(),
              "dot_dense: dimension mismatch");
@@ -208,11 +154,56 @@ Matrix FactorizedPsd::to_dense() const {
 FactorizedSet::FactorizedSet(std::vector<FactorizedPsd> items)
     : items_(std::move(items)) {
   PSDP_CHECK(!items_.empty(), "factorized set must be non-empty");
+  PSDP_CHECK(size() <= std::numeric_limits<std::uint32_t>::max(),
+             "factorized set: more constraints than the row index holds");
   dim_ = items_[0].dim();
   for (const auto& item : items_) {
     PSDP_CHECK(item.dim() == dim_, "factorized set: inconsistent dimensions");
+    PSDP_CHECK(item.nnz() <= std::numeric_limits<std::uint32_t>::max(),
+               "factorized set: a factor has more nonzeros than the row "
+               "index holds");
     total_nnz_ += item.nnz();
   }
+  // The row-segment index: count each row's segments, prefix-sum, then
+  // fill constraint by constraint, so every row lists its constraints in
+  // ascending order.
+  row_segments_.assign(static_cast<std::size_t>(dim_) + 1, 0);
+  for (const auto& item : items_) {
+    for (const Index r : item.nonempty_rows()) {
+      ++row_segments_[static_cast<std::size_t>(r) + 1];
+    }
+  }
+  for (Index r = 0; r < dim_; ++r) {
+    row_segments_[static_cast<std::size_t>(r) + 1] +=
+        row_segments_[static_cast<std::size_t>(r)];
+  }
+  segments_.resize(static_cast<std::size_t>(row_segments_.back()));
+  std::vector<Index> cursor(row_segments_.begin(), row_segments_.end() - 1);
+  for (Index i = 0; i < size(); ++i) {
+    const FactorizedPsd& item = items_[static_cast<std::size_t>(i)];
+    const auto offsets = item.q().row_offsets();
+    for (const Index r : item.nonempty_rows()) {
+      const auto at = static_cast<std::size_t>(r);
+      segments_[static_cast<std::size_t>(cursor[at]++)] = {
+          static_cast<std::uint32_t>(i),
+          static_cast<std::uint32_t>(offsets[at]),
+          static_cast<std::uint32_t>(offsets[at + 1])};
+    }
+  }
+  for (Index r = 0; r < dim_; ++r) {
+    Index row_nnz = 0;
+    for (Index k = row_segments_[static_cast<std::size_t>(r)];
+         k < row_segments_[static_cast<std::size_t>(r) + 1]; ++k) {
+      const simd::PsiSegment& seg = segments_[static_cast<std::size_t>(k)];
+      row_nnz += static_cast<Index>(seg.end - seg.begin);
+    }
+    max_row_nnz_ = std::max(max_row_nnz_, row_nnz);
+  }
+}
+
+void FactorizedSet::ensure_transpose_indexes(
+    const TransposePlanOptions& plan_options) {
+  for (FactorizedPsd& item : items_) item.ensure_transpose_index(plan_options);
 }
 
 const FactorizedPsd& FactorizedSet::operator[](Index i) const {
@@ -254,19 +245,54 @@ Csr FactorizedSet::weighted_sum(const Vector& x) const {
   return Csr::from_triplets(dim_, dim_, std::move(triplets));
 }
 
+template <typename T, typename Project>
+void FactorizedSet::psi_sweep(
+    const Vector& x, Index b, simd::PsiTerm<T>* terms, const Project& project,
+    void (*rows)(const Index*, const simd::PsiSegment*,
+                 const simd::PsiTerm<T>*, Index, Index, Index, T*),
+    T* y) const {
+  {
+    // Phase 1, one region over constraints. The transposes charge their
+    // own work; their depth is charged once below, not per factor by
+    // whichever thread happened to run it.
+    par::CostMeter::ScopedDepthMute mute;
+    par::parallel_for(0, size(), [&](Index i) {
+      terms[i] = x[i] == 0 ? simd::PsiTerm<T>{} : project(i);
+    }, par::work_grain(size(), static_cast<Real>(b * total_nnz_)));
+  }
+  // Phase 2, one region over output rows; the outputs are disjoint per
+  // row, so the chunking changes no bit.
+  par::parallel_for_chunked(0, dim_, [&](Index rb, Index re) {
+    rows(row_segments_.data(), segments_.data(), terms, rb, re, b, y);
+  }, par::work_grain(dim_, static_cast<Real>(b * (total_nnz_ + dim_))));
+  Index active_nnz = 0;
+  for (Index i = 0; i < size(); ++i) {
+    if (x[i] != 0) active_nnz += items_[static_cast<std::size_t>(i)].nnz();
+  }
+  par::CostMeter::add_work(static_cast<std::uint64_t>(2 * active_nnz * b));
+  par::CostMeter::add_depth(par::reduction_depth(dim_) +
+                            par::reduction_depth(max_row_nnz_));
+}
+
 void FactorizedSet::weighted_apply_block(const Vector& x, const Matrix& v,
                                          Matrix& y,
                                          BlockWorkspace& workspace) const {
   PSDP_CHECK(x.size() == size(), "weighted_apply_block: weight length mismatch");
   PSDP_CHECK(v.rows() == dim_, "weighted_apply_block: panel dimension mismatch");
-  y.reshape(dim_, v.cols());
-  y.fill(0);
-  for (Index i = 0; i < size(); ++i) {
-    if (x[i] == 0) continue;
-    items_[static_cast<std::size_t>(i)].accumulate_block(
-        v, x[i], y, workspace.scratch, workspace.transpose_partial,
-        workspace.plan);
-  }
+  const Index b = v.cols();
+  const auto n = static_cast<std::size_t>(size());
+  if (workspace.blocks.size() < n) workspace.blocks.resize(n);
+  if (workspace.partials.size() < n) workspace.partials.resize(n);
+  if (workspace.terms.size() < n) workspace.terms.resize(n);
+  y.reshape(dim_, b);
+  psi_sweep<Real>(x, b, workspace.terms.data(), [&](Index i) {
+    const auto at = static_cast<std::size_t>(i);
+    const Csr& q = items_[at].q();
+    Matrix& s = workspace.blocks[at];
+    q.apply_transpose_block(v, s, workspace.partials[at], workspace.plan);
+    return simd::PsiTerm<Real>{q.col_indices().data(), q.values().data(),
+                               s.data(), x[i]};
+  }, simd::active_kernels().psi_rows, y.data());
 }
 
 void FactorizedSet::ensure_float_values(BlockWorkspace& workspace) const {
@@ -291,17 +317,26 @@ void FactorizedSet::weighted_apply_block_f(const Vector& x, const MatrixF& v,
   PSDP_CHECK(v.rows() == dim_,
              "weighted_apply_block_f: panel dimension mismatch");
   ensure_float_values(workspace);
-  y.reshape(dim_, v.cols());
-  y.fill(0);
-  for (Index i = 0; i < size(); ++i) {
-    if (x[i] == 0) continue;
-    const auto& fv = workspace.float_values[static_cast<std::size_t>(i)];
-    // Weights stay double until the very last multiply: one rounding per
-    // accumulated term, same as the float kernels themselves.
-    items_[static_cast<std::size_t>(i)].accumulate_block_f(
-        v, static_cast<float>(x[i]), y, workspace.scratch_f, fv.values,
-        fv.t_values, workspace.transpose_partial_f);
-  }
+  const Index b = v.cols();
+  const auto n = static_cast<std::size_t>(size());
+  if (workspace.blocks_f.size() < n) workspace.blocks_f.resize(n);
+  if (workspace.partials_f.size() < n) workspace.partials_f.resize(n);
+  if (workspace.terms_f.size() < n) workspace.terms_f.resize(n);
+  y.reshape(dim_, b);
+  psi_sweep<float>(x, b, workspace.terms_f.data(), [&](Index i) {
+    const auto at = static_cast<std::size_t>(i);
+    const Csr& q = items_[at].q();
+    const auto& fv = workspace.float_values[at];
+    PSDP_CHECK(static_cast<Index>(fv.values.size()) == q.nnz(),
+               "weighted_apply_block_f: float value copy out of date");
+    MatrixF& s = workspace.blocks_f[at];
+    q.apply_transpose_block_f(v, s, fv.values, fv.t_values,
+                              workspace.partials_f[at]);
+    // Weights stay double until this one rounding to float: one rounding
+    // per accumulated term, same as the float kernels themselves.
+    return simd::PsiTerm<float>{q.col_indices().data(), fv.values.data(),
+                                s.data(), static_cast<float>(x[i])};
+  }, simd::active_kernels().psi_rows_f, y.data());
 }
 
 void FactorizedSet::weighted_apply(const Vector& x, const Vector& v,
@@ -309,12 +344,16 @@ void FactorizedSet::weighted_apply(const Vector& x, const Vector& v,
   PSDP_CHECK(x.size() == size(), "weighted_apply: weight length mismatch");
   PSDP_CHECK(v.size() == dim_, "weighted_apply: vector length mismatch");
   if (y.size() != dim_) y = Vector(dim_);
-  y.fill(0);
-  Vector scratch;  // grows to the widest factor, then is reused
-  for (Index i = 0; i < size(); ++i) {
-    if (x[i] == 0) continue;
-    items_[static_cast<std::size_t>(i)].accumulate(v, x[i], y, scratch);
-  }
+  const auto n = static_cast<std::size_t>(size());
+  std::vector<Vector> blocks(n);
+  std::vector<simd::PsiTerm<Real>> terms(n);
+  psi_sweep<Real>(x, 1, terms.data(), [&](Index i) {
+    const auto at = static_cast<std::size_t>(i);
+    const Csr& q = items_[at].q();
+    q.apply_transpose(v, blocks[at]);
+    return simd::PsiTerm<Real>{q.col_indices().data(), q.values().data(),
+                               blocks[at].data(), x[i]};
+  }, simd::active_kernels().psi_rows, y.data());
 }
 
 }  // namespace psdp::sparse

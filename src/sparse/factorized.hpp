@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "simd/kernel_table.hpp"
 #include "sparse/csr.hpp"
 
 namespace psdp::sparse {
@@ -49,7 +50,8 @@ class FactorizedPsd {
   const Csr& q() const { return q_; }
 
   /// Build (idempotently) the factor's transpose index regardless of the
-  /// aspect gate. The sharded sets call this for every factor when K > 1:
+  /// aspect gate. The sharded sets call this (through
+  /// FactorizedSet::ensure_transpose_indexes) for every factor when K > 1:
   /// the CSC gather kernels are thread-count deterministic, the fallback
   /// owned-column scatter is not.
   void ensure_transpose_index(const TransposePlanOptions& plan_options) {
@@ -80,37 +82,8 @@ class FactorizedPsd {
   /// y = (Q Q^T) x via two SpMVs. Thread-safe (no shared scratch).
   void apply(const Vector& x, Vector& y) const;
 
-  /// y += w (Q Q^T) x: Q^T x into the caller's scratch (resized to
-  /// factor_cols(), capacity-preserving), then y_r += w (row r of Q) . that
-  /// over the non-empty rows r of Q only. Bitwise equal to apply() followed
-  /// by y.add_scaled(., w) for finite w (a skipped empty row would have
-  /// added w * 0, which leaves y unchanged unless y_r is -0 -- and a sum
-  /// started from +0 never is). Work O(nnz + non-empty rows).
-  void accumulate(const Vector& x, Real w, Vector& y, Vector& scratch) const;
-
-  /// Y += w (Q Q^T) X for row-major dim() x b panels: the transpose SpMM
-  /// Q^T X into the caller's k x b scratch (dispatched under `plan`, see
-  /// Csr::apply_transpose_block; `partial` recycles the owned-column
-  /// scatter's chunks), then Y[r,:] += w (Q[r,:] scratch) over Q's
-  /// non-empty rows through simd spmm_rows_accumulate. Bitwise equal to
-  /// the transpose SpMM, Csr::apply_block and Matrix::add_scaled in turn
-  /// (same argument as accumulate), at O(b (nnz + non-empty rows)) work
-  /// instead of O(b (nnz + dim())). Allocation-free once the scratch
-  /// buffers are warm.
-  void accumulate_block(const Matrix& x, Real w, Matrix& y, Matrix& scratch,
-                        std::vector<Real>& partial,
-                        const KernelPlan* plan) const;
-
-  /// Float32 twin of accumulate_block for the mixed-precision sketch mode,
-  /// using the caller's float32 value copies of Q (FactorizedSet::
-  /// ensure_float_values builds and recycles them). Deterministic per ISA;
-  /// float rounding only.
-  void accumulate_block_f(const MatrixF& x, float w, MatrixF& y,
-                          MatrixF& scratch, std::span<const float> values_f,
-                          std::span<const float> t_values_f,
-                          std::vector<float>& partial) const;
-
-  /// The rows of Q holding a nonzero, ascending; built at construction.
+  /// The rows of Q holding a nonzero, ascending; built at construction
+  /// (FactorizedSet builds its row-segment index from them).
   std::span<const Index> nonempty_rows() const { return nonempty_rows_; }
 
   /// (Q Q^T) . S for a dense symmetric S: sum of column quadratic forms.
@@ -126,7 +99,12 @@ class FactorizedPsd {
 };
 
 /// The constraint set {A_i = Q_i Q_i^T}, plus totals used in the cost bounds
-/// (q = total nnz across factors).
+/// (q = total nnz across factors), plus the row-segment index of the
+/// implicit Psi sweep: for every row r, the constraints i (ascending) whose
+/// Q_i has entries in row r, each with that row's entry span [begin, end)
+/// in Q_i's own CSR arrays (spans only, no copied values or columns; 12
+/// bytes a (row, constraint) pair). Built at construction; the factors
+/// cannot be reshaped afterwards, so it never goes stale.
 class FactorizedSet {
  public:
   FactorizedSet() = default;
@@ -138,43 +116,60 @@ class FactorizedSet {
 
   const FactorizedPsd& operator[](Index i) const;
 
-  std::vector<FactorizedPsd>& items() { return items_; }
   const std::vector<FactorizedPsd>& items() const { return items_; }
+
+  /// Build (idempotently) every factor's transpose index regardless of the
+  /// aspect gate (FactorizedPsd::ensure_transpose_index). The K > 1
+  /// sharded sets call this; the CSR arrays the row index spans stay put.
+  void ensure_transpose_indexes(const TransposePlanOptions& plan_options);
 
   /// Psi = sum_i x_i A_i as a sparse CSR matrix (union of factor supports).
   /// Entries with weight zero are skipped.
   Csr weighted_sum(const Vector& x) const;
 
-  /// y = (sum_i x_i A_i) v without forming the sum: one
-  /// FactorizedPsd::accumulate per nonzero weight, straight into y.
+  /// y = (sum_i x_i A_i) v without forming the sum: the b = 1 sweep of
+  /// weighted_apply_block, with each S_i = Q_i^T v from
+  /// Csr::apply_transpose. Allocates its per-constraint vectors per call.
   void weighted_apply(const Vector& x, const Vector& v, Vector& y) const;
 
-  /// Y = (sum_i x_i A_i) V for a row-major dim() x b panel V: per nonzero
-  /// weight, the transpose SpMM S_i = Q_i^T V and then Y[r,:] += x_i
-  /// (Q_i[r,:] S_i) over Q_i's non-empty rows (FactorizedPsd::
-  /// accumulate_block), so the work is O(b sum_i nnz(Q_i) + m b), not
-  /// O(n m b). Column t is bit-identical to weighted_apply on column t
-  /// when every factor has a transpose index (all tall factors, and every
-  /// factor of a K > 1 sharded set). Without one, the panel transpose is
-  /// the owned-column scatter (fused on the vector backends, summed per
-  /// thread chunk) and the matvec a serial unfused sweep, so the two agree
-  /// only to rounding. The workspace panels are resized on first use and
-  /// reusable across calls.
+  /// Y = (sum_i x_i A_i) V for a row-major dim() x b panel V, as one
+  /// set-level sweep in two work-gated parallel regions:
+  ///  1. over constraints: for each nonzero weight, the transpose SpMM
+  ///     S_i = Q_i^T V into the constraint's own k_i x b workspace block
+  ///     (Csr::apply_transpose_block under the workspace plan; the owned-
+  ///     column scatter, run inline there, keeps its chunk count);
+  ///  2. over output rows: Y[r,:] = sum_i x_i (Q_i[r,:] S_i) over the row's
+  ///     segments in ascending i, through simd psi_rows; rows without
+  ///     entries are written as zeros.
+  /// The work is O(b sum_i nnz(Q_i) + m b), not O(n m b). Every output is
+  /// bitwise the per-constraint composition -- the transpose SpMM,
+  /// Csr::apply_block, then Matrix::add_scaled, constraint by constraint
+  /// -- at the same thread count. Column t is bit-identical to weighted_apply
+  /// on column t when every factor has a transpose index (all tall
+  /// factors, and every factor of a K > 1 sharded set). Without one, the
+  /// panel transpose is the owned-column scatter (fused on the vector
+  /// backends, summed per thread chunk) and the matvec a serial unfused
+  /// sweep, so the two agree only to rounding. The workspace blocks are
+  /// resized on first use and reusable across calls.
   struct BlockWorkspace {
-    Matrix scratch;  ///< k_i x b intermediate Q_i^T V
-    /// Per-chunk accumulators of the owned-column transpose scatter
+    /// Per-constraint k_i x b intermediates S_i = Q_i^T V.
+    std::vector<Matrix> blocks;
+    /// Per-constraint accumulators of the owned-column transpose scatter
     /// (unused by factors with a transpose index); recycled across calls.
-    std::vector<Real> transpose_partial;
+    std::vector<std::vector<Real>> partials;
+    /// Per-constraint operands of the row pass (simd::PsiTerm).
+    std::vector<simd::PsiTerm<Real>> terms;
     /// Caller-provided transpose KernelPlan applied to every factor's Q^T
     /// panels (nullptr = each factor's own plan). big_dot_exp wires
     /// BigDotExpOptions::kernel_plan through here; holding a plan is a
     /// pointer copy, so the zero-allocation steady state is unaffected.
     const KernelPlan* plan = nullptr;
 
-    /// Float twins of the panels above, used only by the mixed-precision
+    /// Float twins of the buffers above, used only by the mixed-precision
     /// sketch mode (BigDotExpOptions::panel_precision).
-    MatrixF scratch_f;  ///< k_i x b float intermediate
-    std::vector<float> transpose_partial_f;
+    std::vector<MatrixF> blocks_f;
+    std::vector<std::vector<float>> partials_f;
+    std::vector<simd::PsiTerm<float>> terms_f;
     /// Per-factor float32 copies of Q_i's values (and cached CSC values),
     /// built once by ensure_float_values and reused across panels, rounds,
     /// and solves. Stale only if a factor is mutated after the build --
@@ -196,18 +191,34 @@ class FactorizedSet {
   /// precision mode).
   void ensure_float_values(BlockWorkspace& workspace) const;
 
-  /// Float32 twin of weighted_apply_block: same factor traversal over
-  /// MatrixF panels through the float kernel seam. Column results carry
-  /// float rounding (deterministic per ISA); only the sketch/Taylor panels
-  /// ever run through here -- every certificate-bearing quantity stays
-  /// double (see BigDotExpOptions::panel_precision).
+  /// Float32 twin of weighted_apply_block: the same sweep over MatrixF
+  /// panels through the float kernel seam. Column results carry float
+  /// rounding (deterministic per ISA); only the sketch/Taylor panels ever
+  /// run through here -- every certificate-bearing quantity stays double
+  /// (see BigDotExpOptions::panel_precision).
   void weighted_apply_block_f(const Vector& x, const MatrixF& v, MatrixF& y,
                               BlockWorkspace& workspace) const;
 
  private:
+  /// The two-region sweep behind the three weighted applies: `project(i)`
+  /// computes S_i for a nonzero weight and returns the constraint's row
+  /// pass operands; `rows` is the psi_rows kernel of the precision.
+  template <typename T, typename Project>
+  void psi_sweep(const Vector& x, Index b, simd::PsiTerm<T>* terms,
+                 const Project& project,
+                 void (*rows)(const Index*, const simd::PsiSegment*,
+                              const simd::PsiTerm<T>*, Index, Index, Index,
+                              T*),
+                 T* y) const;
+
   std::vector<FactorizedPsd> items_;
   Index dim_ = 0;
   Index total_nnz_ = 0;
+  /// Row-segment index (see the class comment): row r's segments are
+  /// segments_[row_segments_[r] .. row_segments_[r + 1]).
+  std::vector<Index> row_segments_;
+  std::vector<simd::PsiSegment> segments_;
+  Index max_row_nnz_ = 0;  ///< max_r sum_i nnz(Q_i[r,:]), for the depth
 };
 
 }  // namespace psdp::sparse

@@ -104,9 +104,7 @@ void ShardedFactorizedSet::force_transpose_indexes(
   // per-output serial reductions are independent of the pool width. The
   // short/wide factors the aspect gate skipped get their index here;
   // build_transpose_index is idempotent for the tall ones.
-  for (FactorizedPsd& item : set_.items()) {
-    item.ensure_transpose_index(plan_options);
-  }
+  set_.ensure_transpose_indexes(plan_options);
 }
 
 }  // namespace psdp::sparse

@@ -6,16 +6,20 @@
 #include <cmath>
 #include <cstring>
 
+#include "apps/generators.hpp"
 #include "core/bigdotexp.hpp"
+#include "core/instance.hpp"
 #include "linalg/blockop.hpp"
 #include "linalg/matrixf.hpp"
 #include "linalg/taylor.hpp"
+#include "par/cost_meter.hpp"
 #include "par/parallel.hpp"
 #include "rand/jl.hpp"
 #include "rand/rng.hpp"
 #include "simd/simd.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/factorized.hpp"
+#include "sparse/sharded.hpp"
 #include "test_helpers.hpp"
 
 namespace psdp {
@@ -345,7 +349,7 @@ TEST(FactorizedPsd, NonemptyRowsListsExactlyTheRowsWithEntries) {
   }
 }
 
-TEST(FactorizedBlock, AccumulateIsBitwiseTheComposedPsi) {
+TEST(FactorizedBlock, SweepIsBitwiseTheComposedPsi) {
   ThreadGuard guard;
   struct Shape {
     const char* name;
@@ -356,16 +360,27 @@ TEST(FactorizedBlock, AccumulateIsBitwiseTheComposedPsi) {
       // down): transpose-index gathers, 24 of 256 rows filled.
       {"tall-sparse", patterned_set(256, 4, 6, 24, 2, 91)},
       // Every row filled and not tall: no transpose index, so the
-      // transpose runs the owned-column scatter.
+      // transpose runs the owned-column scatter (inline in the sweep's
+      // constraint region, with the composition's chunk count).
       {"full-wide", patterned_set(24, 8, 5, 24, 2, 92)},
-      // Large enough that the row loop fans out at 4 threads (b >= 8).
+      // The same shape cut into K = 4 shards: every factor indexed.
+      {"full-wide-k4",
+       sparse::ShardedFactorizedSet(patterned_set(24, 8, 5, 24, 2, 92), 4)
+           .set()},
+      // Large enough that both regions fan out at 4 threads (b >= 8).
       {"full-large", patterned_set(4096, 3, 2, 4096, 2, 93)},
   };
-  const sparse::FactorizedPsd& large = shapes[2].set[0];
-  const auto large_rows = static_cast<Index>(large.nonempty_rows().size());
-  EXPECT_LT(par::work_grain(large_rows,
-                            static_cast<Real>(8 * (large.nnz() + large_rows))),
-            large_rows);
+  const sparse::FactorizedSet& large = shapes[3].set;
+  EXPECT_LT(par::work_grain(large.dim(),
+                            static_cast<Real>(8 * (large.total_nnz() +
+                                                   large.dim()))),
+            large.dim());
+  EXPECT_LT(par::work_grain(large.size(),
+                            static_cast<Real>(8 * large.total_nnz())),
+            large.size());
+  for (Index i = 0; i < shapes[2].set.size(); ++i) {
+    EXPECT_TRUE(shapes[2].set[i].q().has_transpose_index());
+  }
 
   for (const Shape& shape : shapes) {
     const sparse::FactorizedSet& set = shape.set;
@@ -374,6 +389,7 @@ TEST(FactorizedBlock, AccumulateIsBitwiseTheComposedPsi) {
     Vector weights(set.size());
     for (Index i = 0; i < set.size(); ++i) weights[i] = rng.uniform();
     weights[1] = 0;  // the zero-weight skip
+    if (set.size() > 3) weights[set.size() - 1] = 0;
     for (const simd::Isa isa : simd::compiled_isas()) {
       if (!simd::isa_available(isa)) continue;
       simd::ScopedIsa forced(isa);
@@ -390,6 +406,10 @@ TEST(FactorizedBlock, AccumulateIsBitwiseTheComposedPsi) {
           set.weighted_apply_block(weights, v, y, workspace);
           const Matrix want = composed_psi(set, weights, v);
           EXPECT_TRUE(same_bytes(y.data(), want.data(), m * b)) << where;
+          // A warm workspace (recycled blocks) gives the same bits.
+          set.weighted_apply_block(weights, v, y, workspace);
+          EXPECT_TRUE(same_bytes(y.data(), want.data(), m * b))
+              << where << " warm";
 
           MatrixF vf(m, b);
           for (Index e = 0; e < m * b; ++e) {
@@ -413,6 +433,76 @@ TEST(FactorizedBlock, AccumulateIsBitwiseTheComposedPsi) {
       }
     }
   }
+}
+
+TEST(FactorizedBlock, SweepChargesThreadIndependentCosts) {
+  ThreadGuard guard;
+  const sparse::FactorizedSet set = patterned_set(4096, 3, 4, 4096, 2, 96);
+  Vector weights(set.size(), 0.5);
+  weights[2] = 0;
+  const Matrix v = random_panel(set.dim(), 8, 97);
+  std::vector<par::CostMeter::Cost> costs;
+  for (const int threads : {1, 2, 4}) {
+    par::set_num_threads(threads);
+    sparse::FactorizedSet::BlockWorkspace workspace;
+    Matrix y;
+    par::CostMeter::reset();
+    set.weighted_apply_block(weights, v, y, workspace);
+    costs.push_back(par::CostMeter::snapshot());
+  }
+  // Work: 4 b nnz(Q_i) per nonzero weight. Depth: reduction_depth(m) +
+  // reduction_depth(max row nnz across the set), once per apply.
+  Index active_nnz = 0;
+  for (Index i = 0; i < set.size(); ++i) {
+    if (weights[i] != 0) active_nnz += set[i].nnz();
+  }
+  Index max_row_nnz = 0;
+  for (Index r = 0; r < set.dim(); ++r) {
+    Index row_nnz = 0;
+    for (Index i = 0; i < set.size(); ++i) {
+      row_nnz += static_cast<Index>(set[i].q().row_cols(r).size());
+    }
+    max_row_nnz = std::max(max_row_nnz, row_nnz);
+  }
+  for (const par::CostMeter::Cost& cost : costs) {
+    EXPECT_EQ(cost.work, static_cast<std::uint64_t>(4 * 8 * active_nnz));
+    EXPECT_EQ(cost.depth, par::reduction_depth(set.dim()) +
+                              par::reduction_depth(max_row_nnz));
+  }
+}
+
+TEST(FactorizedBlock, SweepIsTwoPoolRegionsOnTheShardShape) {
+  ThreadGuard guard;
+  par::set_num_threads(2);
+  const auto dispatches_per_apply = [](const sparse::FactorizedSet& set) {
+    Vector weights(set.size(), 0.25);
+    const Matrix v = random_panel(set.dim(), 16, 98);
+    sparse::FactorizedSet::BlockWorkspace workspace;
+    Matrix y;
+    set.weighted_apply_block(weights, v, y, workspace);  // warm
+    const std::uint64_t before = par::global_pool().dispatched_batches();
+    set.weighted_apply_block(weights, v, y, workspace);
+    return par::global_pool().dispatched_batches() - before;
+  };
+  // perfbench's shard-rounds instance: m = 2048, n = 64, rank 4, 64
+  // entries per column, K = 4 -- one region over constraints, one over
+  // rows, each split across the two threads; the per-factor transposes
+  // run inline inside the first.
+  apps::FactorizedOptions shard;
+  shard.m = 2048;
+  shard.n = 64;
+  shard.rank = 4;
+  shard.nnz_per_column = 64;
+  const sparse::ShardedFactorizedSet sharded(
+      apps::random_factorized(shard).set(), 4);
+  EXPECT_EQ(dispatches_per_apply(sharded.set()), 2u);
+  // The tiny-solve shape stays on the caller.
+  apps::FactorizedOptions tiny;
+  tiny.m = 16;
+  tiny.n = 8;
+  tiny.rank = 2;
+  tiny.nnz_per_column = 4;
+  EXPECT_EQ(dispatches_per_apply(apps::random_factorized(tiny).set()), 0u);
 }
 
 /// bigDotExp fixture: a factorized set plus a sparse Phi.
@@ -449,6 +539,70 @@ TEST(BigDotExpBlocked, BlockSizeOneIsBitIdenticalToReference) {
   EXPECT_EQ(via_op.block_size, 1);
   EXPECT_EQ(reference.dots, via_op.dots);
   EXPECT_EQ(reference.trace_exp, via_op.trace_exp);
+}
+
+TEST(BigDotExpBlocked, FusedDotsAreBitwiseTheRowScatter) {
+  // At Taylor degree 1 the fused path's panels are the Gaussian sketch
+  // panels themselves, so the dots can be rebuilt here from the scatter
+  // kernel over every row of every factor -- the loop the gather replaced.
+  ThreadGuard guard;
+  const sparse::FactorizedSet tall = patterned_set(256, 4, 5, 30, 2, 120);
+  const sparse::FactorizedSet wide = patterned_set(24, 8, 4, 20, 2, 121);
+  sparse::ShardedFactorizedSet forced(patterned_set(24, 8, 4, 20, 2, 121), 4);
+  ASSERT_TRUE(tall[0].q().has_transpose_index());
+  ASSERT_FALSE(wide[0].q().has_transpose_index());
+  ASSERT_TRUE(forced.set()[0].q().has_transpose_index());
+  const sparse::KernelPlan scatter_plan =
+      sparse::KernelPlan::forced(sparse::TransposeKernel::kScatter);
+  constexpr Index kRows = 40;
+  for (const sparse::FactorizedSet* set : {&tall, &wide, &forced.set()}) {
+    const Index m = set->dim();
+    const sparse::Csr phi = sparse::Csr::identity(m);
+    for (const simd::Isa isa : simd::compiled_isas()) {
+      if (!simd::isa_available(isa)) continue;
+      simd::ScopedIsa scoped(isa);
+      const simd::KernelTable& kt = simd::active_kernels();
+      for (const Index block : {3, 16}) {
+        core::BigDotExpOptions options;
+        options.eps = 0.2;
+        options.seed = 122;
+        options.sketch_rows_override = kRows;
+        options.taylor_degree_override = 1;
+        options.block_size = block;
+        const rand::GaussianSketch sketch =
+            rand::GaussianSketch::deferred(kRows, m, options.seed);
+        Vector want(set->size());
+        Matrix panel;
+        for (Index j0 = 0; j0 < kRows; j0 += block) {
+          const Index b = std::min(block, kRows - j0);
+          sketch.fill_block(j0, b, panel);
+          for (Index i = 0; i < set->size(); ++i) {
+            const sparse::Csr& q = (*set)[i].q();
+            std::vector<Real> acc(static_cast<std::size_t>(q.cols() * b), 0);
+            kt.scatter_rows(q.row_offsets().data(), q.col_indices().data(),
+                            q.values().data(), 0, q.rows(), b, panel.data(),
+                            acc.data());
+            want[i] += kt.sum_sq(acc.data(), q.cols() * b);
+          }
+        }
+        for (const int threads : {1, 4}) {
+          par::set_num_threads(threads);
+          for (const sparse::KernelPlan* plan :
+               {static_cast<const sparse::KernelPlan*>(nullptr),
+                &scatter_plan}) {
+            options.kernel_plan = plan;
+            const core::BigDotExpResult r = core::big_dot_exp(phi, 1.0, *set,
+                                                              options);
+            ASSERT_TRUE(r.fused);
+            EXPECT_TRUE(same_bytes(r.dots.data(), want.data(), set->size()))
+                << "m " << m << " " << simd::isa_name(isa) << " block "
+                << block << " threads " << threads
+                << (plan != nullptr ? " forced scatter plan" : "");
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(BigDotExpBlocked, BlockSizesAgreeWithinTolerance) {

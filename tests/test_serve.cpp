@@ -143,6 +143,34 @@ TEST(ArtifactCache, WaiterRebuildAfterFailedBuilderEndsUpCached) {
   EXPECT_EQ(more_builds.load(), 0);
 }
 
+TEST(ArtifactCache, ConcurrentFirstLookupsCountExactlyOneMiss) {
+  // Lanes resolving a new key together: one builds and reports the miss,
+  // every other one waits for that build and reports a hit -- including a
+  // lane that reaches the entry's build lock before the inserting lane
+  // does (which once made both of them build-and-miss).
+  constexpr int kLanes = 4;
+  for (int round = 0; round < 300; ++round) {
+    ArtifactCache cache;
+    std::atomic<int> builds{0};
+    std::atomic<int> ready{0};
+    std::atomic<int> misses{0};
+    std::vector<std::thread> lanes;
+    for (int lane = 0; lane < kLanes; ++lane) {
+      lanes.emplace_back([&] {
+        ready.fetch_add(1);
+        while (ready.load() < kLanes) std::this_thread::yield();
+        if (!cache.get("k", counting_builder(builds)).hit) misses.fetch_add(1);
+      });
+    }
+    for (std::thread& t : lanes) t.join();
+    ASSERT_EQ(misses.load(), 1) << "round " << round;
+    ASSERT_EQ(builds.load(), 1) << "round " << round;
+    ASSERT_EQ(cache.stats().misses, 1u) << "round " << round;
+    ASSERT_EQ(cache.stats().hits, static_cast<std::uint64_t>(kLanes - 1))
+        << "round " << round;
+  }
+}
+
 TEST(ArtifactCache, WorkspacePoolReusesUpToCap) {
   ArtifactCache::Options options;
   options.workspaces_per_entry = 2;
