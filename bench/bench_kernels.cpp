@@ -9,8 +9,10 @@
 //   * the SpMV-vs-SpMM block-size sweep over b in {1, 4, 8, 16, 32} on the
 //     default exp-Taylor instance (r = 64 sketch rows);
 //   * the transpose-kernel sweep -- owned-column scatter vs transpose-index
-//     gather on a tall sparse factor (rows >= 64x cols); the acceptance bar
-//     is gather >= 1.5x at some panel width;
+//     gather vs segmented gather vs the apply_transpose_block dispatch on a
+//     tall sparse factor (rows >= 64x cols); the acceptance bars are gather
+//     >= 1.5x over the scatter at some panel width and the dispatch within
+//     10% of the faster gather at every width;
 //   * the SIMD dispatch sweep -- the same gather and SpMM kernels timed
 //     under forced-scalar dispatch vs the active ISA (simd::ScopedIsa); the
 //     acceptance bar is gather >= 2x over scalar at some width b >= 8
@@ -24,10 +26,7 @@
 // `--sweep-only` exits after the sweeps; `--smoke` shrinks the instances
 // for CI hot-path regression checks. `--widths=1,4,8,32` overrides the
 // transpose sweep's panel widths (so the docs' regeneration commands are
-// reproducible on machines with different cache shapes); `--plan-out=FILE`
-// writes the autotuned transpose KernelPlan as standalone JSON and
-// `--plan-in=FILE` reloads one and dispatches the sweep through it
-// (round-trip demonstrated and checked).
+// reproducible on machines with different cache shapes).
 #include <benchmark/benchmark.h>
 
 #include "alloc_counter.hpp"
@@ -39,7 +38,6 @@
 #include <functional>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 
 #include "apps/generators.hpp"
@@ -54,7 +52,6 @@
 #include "rand/rng.hpp"
 #include "simd/simd.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/kernel_plan.hpp"
 #include "util/cli.hpp"
 #include "util/timer.hpp"
 
@@ -324,9 +321,8 @@ struct SweepRow {
   double max_rel_dev = 0;  ///< big_dot_exp only: deviation from block = 1
 };
 
-// Timing goes through linalg::time_block_kernel -- the same best-of-reps
-// primitive the KernelPlan autotuner uses, so the sweep and the tuner
-// answer "which kernel is fastest?" identically by construction.
+// Timing goes through linalg::time_block_kernel: best of a few reps, the
+// noise-free cost a kernel comparison wants.
 
 struct BlockSweepResult {
   std::vector<SweepRow> rows;
@@ -524,10 +520,8 @@ BlockSweepResult run_block_sweep(bool smoke) {
 
 // ------------------------------------------------------------------------
 // Transpose-kernel sweep: owned-column scatter vs transpose-index gather vs
-// segmented-column gather on a tall sparse factor (the acceptance instance:
-// rows >= 64x cols). Also autotunes and serializes the KernelPlan (the
-// `kernel_plan` section of BENCH_kernels.json), or reloads a caller-
-// provided one (--plan-in) to prove the round trip.
+// segmented-column gather vs the apply_transpose_block dispatch on a tall
+// sparse factor (the acceptance instance: rows >= 64x cols).
 // ------------------------------------------------------------------------
 
 /// Widths swept by default; overridden by --widths=comma,separated,list.
@@ -535,21 +529,15 @@ std::vector<Index> default_transpose_widths() { return {1, 4, 8, 16, 32}; }
 
 struct TransposeSweepResult {
   std::vector<SweepRow> rows;
-  std::string plan_json;     ///< serialized plan (tuned or reloaded)
-  bool plan_reloaded = false;  ///< --plan-in round trip taken
-  /// --plan-in gave a plan whose ISA/kernel-set provenance no longer
-  /// matches this binary (KernelPlan::stale()): it was discarded and the
-  /// index re-tuned instead of dispatching through stale measurements.
-  bool plan_stale_retuned = false;
-  /// Acceptance bar of the plan dispatch (full runs enforce it): at every
-  /// width, `apply_transpose_block` through the autotuned plan stays
-  /// within 10% of the best *deterministic* kernel (gather / segmented)
-  /// measured by this sweep. The owned-column scatter is reported but not
-  /// gated against: which family wins at wide widths is ISA-dependent (the
-  /// SIMD scatter's contiguous row updates vectorize better than the
-  /// gathers' strided fetches on some machines), and the plan deliberately
-  /// never picks it -- kernel choice must not change solver bits.
-  bool planned_tracks_best = true;
+  /// Acceptance bar of the fixed dispatch (full runs enforce it): at every
+  /// width, `apply_transpose_block` stays within 10% of the faster of the
+  /// two bit-identical gathers (plain / segmented) measured by this sweep.
+  /// The owned-column scatter is reported but not gated against: which
+  /// family wins at wide widths is ISA-dependent (the SIMD scatter's
+  /// contiguous row updates vectorize better than the gathers' strided
+  /// fetches on some machines), and the dispatch never picks it for an
+  /// indexed matrix -- kernel choice must not change solver bits.
+  bool dispatch_tracks_best = true;
 };
 
 /// The acceptance instance shared by the transpose and SIMD sweeps: a tall
@@ -565,55 +553,14 @@ sparse::Csr make_tall_factor(Index rows, Index cols) {
 }
 
 TransposeSweepResult run_transpose_sweep(bool smoke,
-                                         const std::vector<Index>& widths,
-                                         const std::string& plan_in) {
+                                         const std::vector<Index>& widths) {
   const Index rows = smoke ? (1 << 12) : (1 << 16);
   const Index cols = smoke ? 16 : 64;  // 256x / 1024x aspect: firmly tall
   const int reps = smoke ? 3 : 5;
   const sparse::Csr owned = make_tall_factor(rows, cols);
   sparse::Csr indexed = owned;
-
-  // A reloaded plan is only trusted when its provenance matches this
-  // binary: measurements taken under another ISA (or an older kernel set)
-  // say nothing about the kernels running here, so a stale plan is
-  // discarded and the index re-tuned -- the same policy TransposePlanCache
-  // applies to its in-memory entries.
+  indexed.build_transpose_index();  // default grid, as FactorizedPsd builds
   TransposeSweepResult result;
-  sparse::KernelPlan loaded;
-  bool have_loaded = false;
-  if (!plan_in.empty()) {
-    std::ifstream in(plan_in);
-    PSDP_CHECK(in.good(), str("--plan-in: cannot read ", plan_in));
-    std::ostringstream text;
-    text << in.rdbuf();
-    loaded = sparse::KernelPlan::from_json(text.str());
-    have_loaded = true;
-    result.plan_stale_retuned = loaded.stale();
-  }
-  const bool reuse_loaded = have_loaded && !loaded.stale();
-
-  // The sweep times the kernels itself; build the index with a thorough
-  // autotune over the swept widths so the emitted plan reflects them --
-  // unless a reloaded (and still-valid) plan is about to replace it
-  // anyway. measure_scalar also records the forced-scalar gather baseline
-  // per shape bucket, so the emitted plan documents the SIMD speedup it
-  // was tuned under.
-  sparse::TransposePlanOptions build_options;
-  build_options.autotune.enable = !reuse_loaded;
-  build_options.autotune.widths = widths;
-  build_options.autotune.reps = reps;
-  build_options.autotune.measure_scalar = true;
-  indexed.build_transpose_index(build_options);
-
-  if (reuse_loaded) {
-    indexed.set_kernel_plan(loaded);
-    result.plan_reloaded = true;
-  } else if (have_loaded) {
-    std::cout << "--plan-in: plan provenance is stale (tuned under isa '"
-              << simd::isa_name(loaded.isa()) << "', kernel set "
-              << loaded.kernel_set_version() << "); re-tuned\n";
-  }
-  result.plan_json = indexed.kernel_plan().to_json();
 
   for (const Index b : widths) {
     linalg::Matrix x(rows, b);
@@ -621,7 +568,7 @@ TransposeSweepResult run_transpose_sweep(bool smoke,
     for (Index i = 0; i < rows; ++i) {
       for (Index t = 0; t < b; ++t) x(i, t) = fill.normal();
     }
-    linalg::Matrix ys, yg, yseg, yplan;
+    linalg::Matrix ys, yg, yseg, ydispatch;
     std::vector<Real> partial;
     // Narrow widths finish in fractions of a millisecond, where run-to-run
     // noise on a shared machine swamps a 5% acceptance bar -- scale the
@@ -675,28 +622,28 @@ TransposeSweepResult run_transpose_sweep(bool smoke,
           owned_row.seconds / segmented_row.seconds;
       segmented_row.max_rel_dev = deviation(yseg);
     }
-    // The plan-dispatched entry point, timed as the solvers see it.
-    SweepRow plan_row;
-    plan_row.kernel = "transpose_planned";
-    plan_row.block = b;
-    plan_row.seconds = linalg::time_block_kernel(reps, [&] {
+    // The dispatching entry point, timed as the solvers see it.
+    SweepRow dispatch_row;
+    dispatch_row.kernel = "transpose_dispatch";
+    dispatch_row.block = b;
+    dispatch_row.seconds = linalg::time_block_kernel(reps, [&] {
       for (int it = 0; it < inner; ++it) {
-        indexed.apply_transpose_block(x, yplan, partial);
+        indexed.apply_transpose_block(x, ydispatch, partial);
       }
     });
-    plan_row.speedup_vs_single = owned_row.seconds / plan_row.seconds;
-    plan_row.max_rel_dev = deviation(yplan);
-    double best_deterministic = gather_row.seconds;
+    dispatch_row.speedup_vs_single = owned_row.seconds / dispatch_row.seconds;
+    dispatch_row.max_rel_dev = deviation(ydispatch);
+    double best_gather = gather_row.seconds;
     if (indexed.has_segment_index()) {
-      best_deterministic = std::min(best_deterministic, segmented_row.seconds);
+      best_gather = std::min(best_gather, segmented_row.seconds);
     }
-    if (plan_row.seconds > 1.10 * best_deterministic) {
-      result.planned_tracks_best = false;
+    if (dispatch_row.seconds > 1.10 * best_gather) {
+      result.dispatch_tracks_best = false;
     }
     result.rows.push_back(owned_row);
     result.rows.push_back(gather_row);
     if (indexed.has_segment_index()) result.rows.push_back(segmented_row);
-    result.rows.push_back(plan_row);
+    result.rows.push_back(dispatch_row);
   }
   return result;
 }
@@ -729,8 +676,7 @@ SimdSweepResult run_simd_sweep(bool smoke, const std::vector<Index>& widths) {
   const Index cols = smoke ? 16 : 64;
   const int reps = smoke ? 3 : 5;
   sparse::Csr indexed = make_tall_factor(rows, cols);
-  // Plain transpose index, no autotune: the sweep times the gather kernel
-  // directly (apply_transpose_block_indexed), so the kernel choice is
+  // Plain transpose index: the sweep times the gather kernel directly (apply_transpose_block_indexed), so the kernel choice is
   // pinned and only the dispatch seam varies between the two timings.
   indexed.build_transpose_index();
 
@@ -830,12 +776,7 @@ void write_sweep_json(const BlockSweepResult& block,
         << ", \"speedup\": " << row.speedup << "}"
         << (i + 1 < simd_sweep.rows.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"kernel_plan\": " << transpose.plan_json
-      << ",\n  \"kernel_plan_reloaded\": "
-      << (transpose.plan_reloaded ? "true" : "false")
-      << ",\n  \"kernel_plan_stale_retuned\": "
-      << (transpose.plan_stale_retuned ? "true" : "false")
-      << ",\n  \"steady_state_alloc\": {\"warmup_iterations\": "
+  out << "  ],\n  \"steady_state_alloc\": {\"warmup_iterations\": "
       << alloc_report.warmup_iterations
       << ", \"measured_iterations\": " << alloc_report.measured_iterations
       << ", \"allocations\": " << alloc_report.allocations << "}\n}\n";
@@ -844,8 +785,6 @@ void write_sweep_json(const BlockSweepResult& block,
 struct SweepConfig {
   bool smoke = false;
   std::vector<Index> widths = default_transpose_widths();
-  std::string plan_in;   ///< reload the transpose plan from this JSON file
-  std::string plan_out;  ///< write the (tuned or reloaded) plan here
 };
 
 int run_sweep(const SweepConfig& config) {
@@ -858,15 +797,8 @@ int run_sweep(const SweepConfig& config) {
   std::cout << "), sketch panels double (reference) + float32 sweep\n";
   const BlockSweepResult block = run_block_sweep(smoke);
   const TransposeSweepResult transpose =
-      run_transpose_sweep(smoke, config.widths, config.plan_in);
+      run_transpose_sweep(smoke, config.widths);
   const SimdSweepResult simd_sweep = run_simd_sweep(smoke, config.widths);
-  if (!config.plan_out.empty()) {
-    std::ofstream out(config.plan_out);
-    out << transpose.plan_json << "\n";
-    out.flush();
-    PSDP_CHECK(out.good(), str("--plan-out: cannot write ", config.plan_out));
-    std::cout << "wrote transpose kernel plan to " << config.plan_out << "\n";
-  }
 
   // Steady-state-allocation guard: factorized plain-loop iterations on a
   // shared SolverWorkspace, counted by this binary's replaced operator new.
@@ -900,7 +832,7 @@ int run_sweep(const SweepConfig& config) {
     }
   }
   std::cout << "transpose sweep (tall factor: owned-column scatter vs "
-               "gather vs segmented gather vs the plan dispatch):\n";
+               "gather vs segmented gather vs the dispatch):\n";
   bool transpose_bar_met = false;
   double transpose_dev = 0;
   for (const SweepRow& row : transpose.rows) {
@@ -923,11 +855,6 @@ int run_sweep(const SweepConfig& config) {
               << row.active_seconds * 1e3 << " ms, " << row.speedup
               << "x\n";
   }
-  std::cout << "transpose kernel plan"
-            << (transpose.plan_reloaded ? " (reloaded via --plan-in)" : "")
-            << (transpose.plan_stale_retuned ? " (stale --plan-in re-tuned)"
-                                             : "")
-            << ": " << transpose.plan_json << "\n";
   std::cout << "steady-state allocations after warmup: "
             << alloc_report.allocations << " (over "
             << alloc_report.measured_iterations << " iterations)\n";
@@ -953,9 +880,9 @@ int run_sweep(const SweepConfig& config) {
             << "] transpose-index gather >= 1.5x over owned-column at some "
                "width; max deviation "
             << transpose_dev << "\n";
-  std::cout << "[" << (transpose.planned_tracks_best ? "PERF OK" : "PERF MISS")
-            << "] plan dispatch within 10% of the best deterministic "
-               "kernel at every width\n";
+  std::cout << "[" << (transpose.dispatch_tracks_best ? "PERF OK" : "PERF MISS")
+            << "] transpose dispatch within 10% of the faster gather at "
+               "every width\n";
   std::cout << "[" << (simd_sweep.gather_bar_met ? "PERF OK" : "PERF MISS")
             << "] SIMD gather >= 2x over forced-scalar at some width >= 8 "
                "(vacuous under scalar dispatch)\n";
@@ -976,7 +903,7 @@ int run_sweep(const SweepConfig& config) {
                  float_bar_met && isa_bar_met &&
                  (smoke ||
                   (taylor_bar_met && transpose_bar_met &&
-                   transpose.planned_tracks_best && simd_sweep.gather_bar_met))
+                   transpose.dispatch_tracks_best && simd_sweep.gather_bar_met))
              ? 0
              : 1;
 }
@@ -1005,7 +932,7 @@ int main(int argc, char** argv) {
   bool sweep_only = false;
   int sweep_status = 1;
   // The sweep's flags and run throw InvalidArgument on bad input (a width
-  // list that fails parse_index_list, an unreadable --plan-in); report it
+  // list that fails parse_index_list); report it
   // like the Cli-based binaries do instead of letting it escape to
   // std::terminate.
   try {
@@ -1021,10 +948,6 @@ int main(int argc, char** argv) {
         sweep_only = true;
       } else if (arg.rfind("--widths=", 0) == 0) {
         config.widths = parse_widths(arg.substr(9));
-      } else if (arg.rfind("--plan-in=", 0) == 0) {
-        config.plan_in = arg.substr(10);
-      } else if (arg.rfind("--plan-out=", 0) == 0) {
-        config.plan_out = arg.substr(11);
       } else {
         argv[kept++] = argv[i];
       }

@@ -168,21 +168,15 @@ std::vector<JobClass> make_classes(bool smoke) {
 
 /// Build one template's prepared instance, the single source of truth for
 /// both the submit-time builder and the profile shape-bucket key.
-/// `plan` routes the cache-owned transpose-plan options into factorized
-/// builds (null = generator defaults; dense/covering builds ignore it).
-serve::PreparedInstance build_template_instance(
-    const JobTemplate& t, const sparse::TransposePlanOptions* plan) {
+serve::PreparedInstance build_template_instance(const JobTemplate& t) {
   switch (t.kind) {
     case serve::JobKind::kPackingDense:
       return serve::prepare_packing(apps::random_ellipses(t.dense_generator));
     case serve::JobKind::kCovering:
       return serve::prepare_covering(
           apps::beamforming_problem(t.covering_generator));
-    default: {
-      apps::FactorizedOptions options = t.generator;
-      options.plan_options = plan;
-      return serve::prepare_factorized(apps::random_factorized(options));
-    }
+    default:
+      return serve::prepare_factorized(apps::random_factorized(t.generator));
   }
 }
 
@@ -200,9 +194,7 @@ serve::JobSpec make_spec(const JobTemplate& t,
   spec.options.dot_block_size = util::tunable_dot_block_size();
   spec.options.decision.dot_options.block_size = util::tunable_block_size();
   spec.deadline_ms = deadline_ms;
-  spec.builder = [t](const sparse::TransposePlanOptions& plan) {
-    return build_template_instance(t, &plan);
-  };
+  spec.builder = [t] { return build_template_instance(t); };
   return spec;
 }
 
@@ -637,7 +629,7 @@ int main(int argc, char** argv) {
   // time -- so a later solver_cli/manifest run on the same shapes matches
   // the persisted entry, whatever the job kind.
   const auto class_bucket = [](const JobClass& cls) {
-    return build_template_instance(cls.templates.front(), nullptr)
+    return build_template_instance(cls.templates.front())
         .shape_bucket();
   };
 

@@ -7,9 +7,9 @@
 //
 //   sequential  today's behavior emulated faithfully: every job is solved
 //               alone at full pool width by a fresh scheduler (fresh
-//               ArtifactCache, fresh plan memo), so each job re-generates
-//               its instance, rebuilds transpose indexes, re-normalizes,
-//               and re-tunes -- one process entry point per job.
+//               ArtifactCache), so each job re-generates its instance,
+//               rebuilds transpose indexes and re-normalizes -- one
+//               process entry point per job.
 //   batch       one BatchScheduler.run() over all jobs: narrow jobs pack
 //               onto lanes, artifacts are shared through the cache.
 //   warm        the same batch again on the same scheduler: every artifact
@@ -18,8 +18,8 @@
 // The bench *asserts* (exit 1 on failure):
 //   * per-job results are bitwise identical across all three modes -- the
 //     lanes-vs-solo determinism contract of serve/scheduler.hpp;
-//   * the warm batch performs zero transpose-index builds and zero
-//     kernel-plan re-measurements (--assert-cache-reuse, default on);
+//   * the warm batch performs zero transpose-index builds
+//     (--assert-cache-reuse, default on);
 //   * batch/sequential throughput >= --assert-speedup when set (the ISSUE
 //     acceptance bar is 1.5).
 //
@@ -87,10 +87,8 @@ serve::SolveBatch make_batch(bool smoke) {
     job.label = label;
     job.kind = serve::JobKind::kPackingFactorized;
     job.options = options;
-    job.builder = [generator](const sparse::TransposePlanOptions& plan) {
-      apps::FactorizedOptions options = generator;
-      options.plan_options = &plan;
-      return serve::prepare_factorized(apps::random_factorized(options));
+    job.builder = [generator] {
+      return serve::prepare_factorized(apps::random_factorized(generator));
     };
     batch.add(std::move(job));
   };
@@ -215,7 +213,7 @@ int main(int argc, char** argv) {
       "fail unless batch/sequential throughput >= this (0 = report only)");
   auto& assert_cache = cli.flag<bool>(
       "assert-cache-reuse", true,
-      "fail unless the warm batch rebuilds zero indexes/plans");
+      "fail unless the warm batch rebuilds zero transpose indexes");
   auto& lane_sweep = cli.flag<bool>(
       "lane-sweep", false, "also time warm batches at lanes = 1..threads");
   cli.parse(argc, argv);
@@ -257,17 +255,12 @@ int main(int argc, char** argv) {
   // ---- warm: same scheduler, every artifact cached -----------------------
   const std::uint64_t index_builds_before_warm =
       sparse::transpose_index_build_count();
-  const sparse::TransposePlanCache::Stats plan_before =
-      scheduler.cache().plan_cache().stats();
   ModeStats warm;
   timer.reset();
   const std::vector<serve::JobResult> warm_results = scheduler.run(batch);
   warm.seconds = timer.seconds();
   const std::uint64_t warm_index_builds =
       sparse::transpose_index_build_count() - index_builds_before_warm;
-  const sparse::TransposePlanCache::Stats plan_after =
-      scheduler.cache().plan_cache().stats();
-  const std::uint64_t warm_plan_misses = plan_after.misses - plan_before.misses;
 
   const auto jobs_per_second = [&](ModeStats& mode) {
     mode.jobs_per_second =
@@ -324,8 +317,7 @@ int main(int argc, char** argv) {
             << " misses, " << cache.evictions << " evictions, "
             << cache.workspace_reuses << " workspace reuses\n";
   std::cout << "warm batch: " << warm_index_builds
-            << " transpose-index builds, " << warm_plan_misses
-            << " kernel-plan measurements\n";
+            << " transpose-index builds\n";
 
   // ---- optional lane sweep (warm batches) --------------------------------
   std::vector<std::pair<int, double>> lane_rows;
@@ -363,8 +355,7 @@ int main(int argc, char** argv) {
         << ", \"misses\": " << cache.misses
         << ", \"evictions\": " << cache.evictions
         << ", \"workspace_reuses\": " << cache.workspace_reuses
-        << ", \"warm_index_builds\": " << warm_index_builds
-        << ", \"warm_plan_measurements\": " << warm_plan_misses << "},\n"
+        << ", \"warm_index_builds\": " << warm_index_builds << "},\n"
         << "  \"identity\": {\"jobs\": " << batch.size()
         << ", \"mismatches\": " << mismatches << "},\n  \"jobs_detail\": [\n";
     for (std::size_t i = 0; i < timings.size(); ++i) {
@@ -405,11 +396,10 @@ int main(int argc, char** argv) {
                          "sequential, batch and warm runs");
   }
   if (assert_cache.value) {
-    const bool reuse_ok = warm_index_builds == 0 && warm_plan_misses == 0;
+    const bool reuse_ok = warm_index_builds == 0;
     bench::print_verdict(
         reuse_ok, str("warm batch rebuilt ", warm_index_builds,
-                      " transpose indexes and re-measured ", warm_plan_misses,
-                      " kernel plans (target: 0/0)"));
+                      " transpose indexes (target: 0)"));
     ok = ok && reuse_ok;
   }
   if (assert_speedup.value > 0) {

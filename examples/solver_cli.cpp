@@ -74,7 +74,7 @@ core::FactorizedPackingInstance load_factorized_any(const std::string& path,
   if (io::is_chunked_instance_file(path)) {
     return io::load_factorized_chunked(path, {}, shards);
   }
-  return io::load_factorized(path, {}, shards);
+  return io::load_factorized(path, shards);
 }
 
 int solve_packing_factorized(const std::string& path,

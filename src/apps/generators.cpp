@@ -80,9 +80,6 @@ FactorizedPackingInstance random_factorized(const FactorizedOptions& options) {
   PSDP_CHECK(options.nnz_per_column >= 1 &&
                  options.nnz_per_column <= options.m,
              "random_factorized: nnz_per_column must lie in [1, m]");
-  const sparse::TransposePlanOptions plan_options =
-      options.plan_options ? *options.plan_options
-                           : sparse::TransposePlanOptions{};
   std::vector<sparse::FactorizedPsd> items;
   items.reserve(static_cast<std::size_t>(options.n));
   for (Index i = 0; i < options.n; ++i) {
@@ -97,8 +94,7 @@ FactorizedPackingInstance random_factorized(const FactorizedOptions& options) {
       }
     }
     items.emplace_back(
-        sparse::Csr::from_triplets(options.m, options.rank, std::move(triplets)),
-        plan_options);
+        sparse::Csr::from_triplets(options.m, options.rank, std::move(triplets)));
     // Duplicate (row, col) draws merge in from_triplets; with a sign flip
     // they may cancel to an all-zero factor -- regenerate deterministically.
     if (items.back().trace() <= 0) {
@@ -106,8 +102,7 @@ FactorizedPackingInstance random_factorized(const FactorizedOptions& options) {
       fallback.push_back({rng.uniform_index(options.m), 0, 1.0});
       items.back() = sparse::FactorizedPsd(
           sparse::Csr::from_triplets(options.m, options.rank,
-                                     std::move(fallback)),
-          plan_options);
+                                     std::move(fallback)));
     }
   }
   return FactorizedPackingInstance(sparse::FactorizedSet(std::move(items)));

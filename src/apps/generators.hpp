@@ -67,11 +67,6 @@ struct FactorizedOptions {
   Real value_min = 0.1;
   Real value_max = 1.0;
   std::uint64_t seed = 99;
-  /// Transpose-index build options for the generated factors (nullptr = the
-  /// defaults). The serve layer's ArtifactCache passes options whose
-  /// autotune.plan_cache points at its owned plan memo, so generated batch
-  /// workloads tune into that cache instead of the process-wide one.
-  const sparse::TransposePlanOptions* plan_options = nullptr;
 };
 
 /// Sparse factorized instance with ~n * rank * nnz_per_column total factor

@@ -388,24 +388,6 @@ void big_dot_exp_impl(const linalg::SymmetricOp& phi,
   PSDP_CHECK(options.block_size >= 0,
              "big_dot_exp: block_size must be non-negative");
 
-  // Per-call plan override: the workspace-held plan (a shared workspace may
-  // pin one for every solve that borrows it) yields to an explicit
-  // options.kernel_plan *for this call only* -- the RAII guard restores the
-  // pinned pointer on every exit path, so the override is never sticky and
-  // a caller's stack-local plan never outlives the call inside the
-  // workspace. Pointer copies only: the zero-allocation steady state is
-  // preserved.
-  struct PlanOverride {
-    sparse::FactorizedSet::BlockWorkspace* factor;
-    const sparse::KernelPlan* saved;
-    PlanOverride(sparse::FactorizedSet::BlockWorkspace& f,
-                 const sparse::KernelPlan* plan)
-        : factor(&f), saved(f.plan) {
-      if (plan != nullptr) f.plan = plan;
-    }
-    ~PlanOverride() { factor->plan = saved; }
-  } plan_override(workspace.factor, options.kernel_plan);
-
   // Error budget: the Taylor truncation contributes up to 2*eps_t relative
   // error to ||p_hat Q||^2 (p_hat and exp commute, both PSD), the sketch
   // contributes +-eps_jl; split the target eps between them.

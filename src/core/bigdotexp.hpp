@@ -100,15 +100,6 @@ struct BigDotExpOptions {
   /// rounding (summation order differs). false = the two-pass blocked
   /// layout, kept for benchmarking (see bench_kernels).
   bool fuse_dots = true;
-  /// Transpose KernelPlan applied to every factor's Q^T panels inside the
-  /// implicit-Psi and dots sweeps (nullptr = each factor's own autotuned
-  /// plan, the default and usually the right answer). Callers reload a
-  /// plan serialized by bench_kernels -- or force one kernel for an A/B
-  /// run -- through here; autotuned plans only pick between the two
-  /// bit-identical gathers, so overriding with one never changes results
-  /// (see sparse/kernel_plan.hpp). The caller keeps the plan alive for
-  /// the duration of the call (solvers: the solve).
-  const sparse::KernelPlan* kernel_plan = nullptr;
   /// Requested panel precision. kFloat32 engages only when every gate
   /// holds -- a float block operator was provided, the blocked fused path
   /// is active (block > 1 and fuse_dots), and eps >= float_panel_min_eps
@@ -159,10 +150,6 @@ struct SolverWorkspace : linalg::TaylorBlockWorkspace {
   linalg::TaylorBlockWorkspaceF taylor_f;
   std::vector<std::vector<float>> accumulators_f;
   /// Scratch of FactorizedSet::weighted_apply_block (the implicit Psi).
-  /// Its `plan` member is the second way to hand a transpose KernelPlan to
-  /// the sweep: set it on a shared workspace to pin the plan for every
-  /// solve using that workspace; BigDotExpOptions::kernel_plan, when
-  /// non-null, takes precedence per call.
   sparse::FactorizedSet::BlockWorkspace factor;
 };
 

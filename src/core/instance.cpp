@@ -58,10 +58,9 @@ FactorizedPackingInstance::FactorizedPackingInstance(
           sparse::ShardedFactorizedSet(std::move(constraints))) {}
 
 FactorizedPackingInstance::FactorizedPackingInstance(
-    sparse::FactorizedSet constraints, Index shards,
-    const sparse::TransposePlanOptions& plan_options)
+    sparse::FactorizedSet constraints, Index shards)
     : FactorizedPackingInstance(sparse::ShardedFactorizedSet(
-          std::move(constraints), shards, plan_options)) {}
+          std::move(constraints), shards)) {}
 
 FactorizedPackingInstance::FactorizedPackingInstance(
     sparse::ShardedFactorizedSet constraints)

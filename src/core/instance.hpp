@@ -75,10 +75,9 @@ class FactorizedPackingInstance {
   /// uses; nothing about the set changes).
   explicit FactorizedPackingInstance(sparse::FactorizedSet constraints);
   /// Partition into `shards` nnz-balanced constraint shards (see
-  /// ShardedFactorizedSet; shards > 1 forces transpose indexes under
-  /// `plan_options` for the determinism contract).
-  FactorizedPackingInstance(sparse::FactorizedSet constraints, Index shards,
-                            const sparse::TransposePlanOptions& plan_options = {});
+  /// ShardedFactorizedSet; shards > 1 forces transpose indexes for the
+  /// determinism contract).
+  FactorizedPackingInstance(sparse::FactorizedSet constraints, Index shards);
   /// Adopt an already-partitioned set (the chunked loader's path).
   explicit FactorizedPackingInstance(sparse::ShardedFactorizedSet constraints);
 

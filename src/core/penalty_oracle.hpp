@@ -146,10 +146,8 @@ struct SketchedOracleOptions {
   /// is what the bucketed/mixed variants (no Lemma 3.2 invariant) rely on.
   /// Defaulted from the tunable registry (`kappa_cap`, default 0).
   Real kappa_cap = util::tunable_kappa_cap();
-  /// Sketch/Taylor/blocking knobs, including block_size and the transpose
-  /// kernel_plan (a caller-reloaded or forced sparse::KernelPlan applied to
-  /// every factor's Q^T panels; nullptr = each factor's own autotuned
-  /// plan). The seed is advanced per round via stream_seed.
+  /// Sketch/Taylor/blocking knobs, including block_size. The seed is
+  /// advanced per round via stream_seed.
   BigDotExpOptions dot_options;
   /// Caller-owned scratch shared across rounds (and, if the caller wants,
   /// across whole solves -- results are unaffected, every buffer is fully

@@ -307,8 +307,7 @@ std::vector<sparse::FactorizedPsd> ChunkedInstanceReader::load_shard(
     // block still cannot smuggle malformed structure in.
     items.emplace_back(
         sparse::Csr::from_parts(dim_, cols, std::move(row_offsets),
-                                std::move(col_indices), std::move(values)),
-        options_.plan_options);
+                                std::move(col_indices), std::move(values)));
     row_offsets.clear();
     col_indices.clear();
     values.clear();
@@ -348,12 +347,10 @@ core::FactorizedPackingInstance ChunkedInstanceReader::load_all(
     // Caller-requested partition: re-cut instead of keeping the file's
     // boundaries (shards = 1 collapses to the legacy unsharded instance).
     return core::FactorizedPackingInstance(
-        sparse::FactorizedSet(std::move(items)), shards,
-        options_.plan_options);
+        sparse::FactorizedSet(std::move(items)), shards);
   }
   return core::FactorizedPackingInstance(sparse::ShardedFactorizedSet(
-      sparse::FactorizedSet(std::move(items)), std::move(offsets),
-      options_.plan_options));
+      sparse::FactorizedSet(std::move(items)), std::move(offsets)));
 }
 
 core::FactorizedPackingInstance load_factorized_chunked(

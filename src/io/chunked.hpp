@@ -61,9 +61,6 @@ struct ChunkedLoadOptions {
   /// a full-file load stays bounded by one shard rather than the whole
   /// payload. Reloading a shard re-faults its pages from the file.
   bool release_loaded_pages = true;
-  /// Transpose-plan options for the factors built from the file (the serve
-  /// layer routes its ArtifactCache-owned plan cache through here).
-  sparse::TransposePlanOptions plan_options;
 };
 
 /// One shard-table entry, as stored.
@@ -105,9 +102,8 @@ class ChunkedInstanceReader {
   /// True when the mmap backend is active (false = buffered reads).
   bool mapped() const { return map_base_ != nullptr; }
 
-  /// Parse shard k's constraints (transpose indexes built per the load
-  /// options' plan_options and the usual aspect gate; the sharded set
-  /// forces the rest when K > 1).
+  /// Parse shard k's constraints (transpose indexes built per the usual
+  /// aspect gate; the sharded set forces the rest when K > 1).
   std::vector<sparse::FactorizedPsd> load_shard(Index k) const;
 
   /// Load every shard in order and assemble the instance around the stored

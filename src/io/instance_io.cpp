@@ -136,9 +136,7 @@ void write_factorized(std::ostream& out,
   }
 }
 
-FactorizedPackingInstance read_factorized(
-    std::istream& in, const sparse::TransposePlanOptions& plan_options,
-    Index shards) {
+FactorizedPackingInstance read_factorized(std::istream& in, Index shards) {
   expect_header(in, "packing-factorized");
   const auto [n, m] = read_size(in);
   std::vector<sparse::FactorizedPsd> items;
@@ -162,12 +160,11 @@ FactorizedPackingInstance read_factorized(
                  "malformed factor entry");
       triplets.push_back({r, c, v});
     }
-    items.emplace_back(sparse::Csr::from_triplets(m, cols, std::move(triplets)),
-                       plan_options);
+    items.emplace_back(sparse::Csr::from_triplets(m, cols, std::move(triplets)));
   }
   if (shards > 1) {
     return FactorizedPackingInstance(sparse::FactorizedSet(std::move(items)),
-                                     shards, plan_options);
+                                     shards);
   }
   return FactorizedPackingInstance(sparse::FactorizedSet(std::move(items)));
 }
@@ -303,11 +300,10 @@ void save_factorized(const std::string& path,
        });
 }
 
-FactorizedPackingInstance load_factorized(
-    const std::string& path, const sparse::TransposePlanOptions& plan_options,
-    Index shards) {
-  return load(path, [&plan_options, shards](std::istream& i) {
-    return read_factorized(i, plan_options, shards);
+FactorizedPackingInstance load_factorized(const std::string& path,
+                                          Index shards) {
+  return load(path, [shards](std::istream& i) {
+    return read_factorized(i, shards);
   });
 }
 

@@ -34,18 +34,13 @@ void write_covering(std::ostream& out, const core::CoveringProblem& problem);
 void write_lp(std::ostream& out, const core::PackingLp& lp);
 
 /// Readers; throw InvalidArgument on malformed input. The factorized reader
-/// builds each factor's transpose index (tall factors) under `plan_options`,
-/// so a caller owning a TransposePlanCache -- the serve layer's
-/// ArtifactCache -- can route the plan memoization of loaded instances into
-/// it (sparse::AutotuneOptions::plan_cache); the default is the process-wide
-/// cache, exactly as before.
+/// builds each factor's transpose index (tall factors) as it loads.
 core::PackingInstance read_packing(std::istream& in);
 /// `shards` > 1 cuts the loaded constraints into that many nnz-balanced
 /// contiguous partitions (the out-of-core oracle sweep granularity); 0 or 1
 /// keeps the legacy unsharded instance.
-core::FactorizedPackingInstance read_factorized(
-    std::istream& in, const sparse::TransposePlanOptions& plan_options = {},
-    Index shards = 0);
+core::FactorizedPackingInstance read_factorized(std::istream& in,
+                                                Index shards = 0);
 core::CoveringProblem read_covering(std::istream& in);
 core::PackingLp read_lp(std::istream& in);
 
@@ -54,9 +49,8 @@ void save_packing(const std::string& path, const core::PackingInstance& instance
 core::PackingInstance load_packing(const std::string& path);
 void save_factorized(const std::string& path,
                      const core::FactorizedPackingInstance& instance);
-core::FactorizedPackingInstance load_factorized(
-    const std::string& path,
-    const sparse::TransposePlanOptions& plan_options = {}, Index shards = 0);
+core::FactorizedPackingInstance load_factorized(const std::string& path,
+                                                Index shards = 0);
 void save_covering(const std::string& path, const core::CoveringProblem& problem);
 core::CoveringProblem load_covering(const std::string& path);
 void save_lp(const std::string& path, const core::PackingLp& lp);

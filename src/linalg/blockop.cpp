@@ -32,36 +32,17 @@ void panel_column(const Matrix& panel, Index col, Vector& out) {
   for (Index i = 0; i < panel.rows(); ++i) out[i] = data[i * b];
 }
 
-double time_block_kernel(const TimingOptions& options,
-                         const std::function<void()>& body) {
-  PSDP_CHECK(options.reps >= 1,
-             "time_block_kernel: need at least one repetition");
-  PSDP_CHECK(options.warmup >= 0 && options.min_elapsed_seconds >= 0,
-             "time_block_kernel: warmup and elapsed floor must be "
-             "non-negative");
+double time_block_kernel(int reps, const std::function<void()>& body) {
+  PSDP_CHECK(reps >= 1, "time_block_kernel: need at least one repetition");
   using Clock = std::chrono::steady_clock;
-  for (int rep = 0; rep < options.warmup; ++rep) body();
-  // Repetition cap: a floor far above the kernel's cost must terminate
-  // (the autotuner times thousands of kernel/width combinations).
-  constexpr int kMaxReps = 64;
   double best = std::numeric_limits<double>::infinity();
-  double total = 0;
-  int timed = 0;
-  while (timed < options.reps ||
-         (total < options.min_elapsed_seconds && timed < kMaxReps)) {
+  for (int rep = 0; rep < reps; ++rep) {
     const Clock::time_point start = Clock::now();
     body();
-    const double elapsed =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    best = std::min(best, elapsed);
-    total += elapsed;
-    ++timed;
+    best = std::min(
+        best, std::chrono::duration<double>(Clock::now() - start).count());
   }
   return best;
-}
-
-double time_block_kernel(int reps, const std::function<void()>& body) {
-  return time_block_kernel(TimingOptions{reps, 0, 0}, body);
 }
 
 void set_panel_column(Matrix& panel, Index col, const Vector& in) {

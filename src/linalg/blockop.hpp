@@ -13,10 +13,7 @@
 // footprint against traversal amortization.
 //
 // This header also hosts the panel-kernel timing primitive
-// (time_block_kernel) shared by the KernelPlan autotuner
-// (sparse/kernel_plan.hpp) and the bench_kernels sweeps: both answer the
-// same question -- "which panel kernel is fastest on this data?" -- and
-// must answer it the same way.
+// (time_block_kernel) of the bench_kernels sweeps.
 #pragma once
 
 #include <functional>
@@ -50,33 +47,10 @@ void panel_column(const Matrix& panel, Index col, Vector& out);
 /// Writes a vector into column `col` of a panel.
 void set_panel_column(Matrix& panel, Index col, const Vector& in);
 
-/// Knobs of time_block_kernel: how many repetitions, how many untimed
-/// warmup runs before them, and a wall-clock floor below which extra
-/// repetitions keep running. The defaults reproduce the original
-/// best-of-2, no-warmup behavior; the KernelPlan autotuner raises them
-/// (AutotuneOptions::warmup / min_sample_seconds) so its decisions are
-/// stable on noisy or shared machines.
-struct TimingOptions {
-  /// Minimum timed repetitions; the best (minimum) is returned.
-  int reps = 2;
-  /// Untimed warmup runs before the first timed one (cache/branch-predictor
-  /// priming; also absorbs first-touch page faults of fresh buffers).
-  int warmup = 0;
-  /// Keep timing additional repetitions until the *total* timed wall clock
-  /// reaches this floor (0 = no floor). Capped at 64 repetitions overall so
-  /// a mis-sized floor cannot hang a tuner.
-  double min_elapsed_seconds = 0;
-};
-
-/// Best-of-N wall-clock seconds of a panel-kernel thunk under `options`.
-/// The minimum over repetitions (not the mean) is what both the KernelPlan
-/// autotuner and the bench_kernels sweeps record: kernel selection wants
-/// the noise-free cost, and the floor of a few reps is the cheapest robust
-/// estimate of it.
-double time_block_kernel(const TimingOptions& options,
-                         const std::function<void()>& body);
-
-/// time_block_kernel with {reps, no warmup, no elapsed floor}.
+/// Best-of-`reps` wall-clock seconds of a panel-kernel thunk. The minimum
+/// over repetitions (not the mean) is what the bench_kernels sweeps
+/// record: kernel comparisons want the noise-free cost, and the floor of a
+/// few reps is the cheapest robust estimate of it.
 double time_block_kernel(int reps, const std::function<void()>& body);
 
 }  // namespace psdp::linalg

@@ -135,19 +135,9 @@ PreparedInstance prepare_lp(core::PackingLp lp) {
   return prepared;
 }
 
-ArtifactCache::ArtifactCache(Options options)
-    : options_(std::move(options)),
-      plan_cache_(std::max<std::size_t>(options_.capacity * 4, 16)) {
+ArtifactCache::ArtifactCache(Options options) : options_(std::move(options)) {
   PSDP_CHECK(options_.capacity >= 1, "serve: cache capacity must be positive");
   slots_.reserve(options_.capacity);
-}
-
-sparse::TransposePlanOptions ArtifactCache::plan_options() {
-  sparse::TransposePlanOptions plan = options_.plan;
-  // The whole point of the owned memo: builders tune into this cache, not
-  // the process-wide one.
-  plan.autotune.plan_cache = &plan_cache_;
-  return plan;
 }
 
 void ArtifactCache::insert_slot_locked(std::shared_ptr<Entry> entry) {
@@ -216,7 +206,7 @@ ArtifactCache::Resolved ArtifactCache::get(const std::string& key,
     // and we are the retry.
     built_by_us = true;
     try {
-      entry->instance_ = build(plan_options());
+      entry->instance_ = build();
       entry->instance_.validate();
       entry->built_ = true;
     } catch (...) {
@@ -279,11 +269,8 @@ std::size_t ArtifactCache::size() const {
 }
 
 void ArtifactCache::clear() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    slots_.clear();
-  }
-  plan_cache_.clear();
+  std::lock_guard<std::mutex> lock(mutex_);
+  slots_.clear();
 }
 
 WorkspaceLease::WorkspaceLease(std::shared_ptr<ArtifactCache::Entry> entry)

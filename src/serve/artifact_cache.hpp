@@ -1,31 +1,27 @@
 // The serve layer's per-instance artifact store.
 //
 // PR 1-4 made a *single* solve fast: blocked bigDotExp kernels, the
-// PenaltyOracle layer, the cached transpose index + segment grid, the
-// autotuned KernelPlan, and the zero-allocation SolverWorkspace. All of
-// those artifacts are per-matrix and solve-invariant -- yet the repo's
-// entry points rebuilt every one of them per call. The ArtifactCache keys
+// PenaltyOracle layer, the cached transpose index + segment grid, and the
+// zero-allocation SolverWorkspace. All of those artifacts are per-matrix
+// and solve-invariant -- yet the repo's entry points rebuilt every one of
+// them per call. The ArtifactCache keys
 // prepared instances by identity and shares them across the jobs of a
 // batch (serve/scheduler.hpp):
 //
 //   * the prepared instance itself (factor CSRs with their transpose
-//     indexes, segment grids and KernelPlans already built; covering
-//     problems with the Appendix-A normalization -- an O(m^3) eigensolve
-//     -- already performed);
+//     indexes and segment grids already built; covering problems with the
+//     Appendix-A normalization -- an O(m^3) eigensolve -- already
+//     performed);
 //   * a pool of core::SolverWorkspace instances, leased per job and
 //     recycled, so concurrent jobs on one instance keep the steady-state
-//     zero-allocation property without sharing scratch;
-//   * an owned sparse::TransposePlanCache: the kernel-plan memo used while
-//     preparing this cache's instances, independently capped and cleared
-//     from the process-wide one (see kernel_plan.hpp -- this is the PR 4
-//     global memo turned into an owned, evictable object).
+//     zero-allocation property without sharing scratch.
 //
 // The cache is bounded: entries are evicted least-recently-used once
 // `Options::capacity` distinct instances have been prepared. Eviction only
 // drops the cache's reference -- jobs still running on an evicted entry
 // keep it alive through their shared_ptr. Hit/miss/evict counters back the
-// bench_serve acceptance assertion ("zero transpose-index/KernelPlan
-// rebuilds after cache warmup") and the tests.
+// bench_serve acceptance assertion ("zero transpose-index rebuilds after
+// cache warmup") and the tests.
 //
 // Thread safety: get() may be called from concurrent scheduler lanes; the
 // per-entry build runs under that entry's own mutex (so one lane builds
@@ -44,7 +40,6 @@
 #include "core/instance.hpp"
 #include "core/optimize.hpp"
 #include "core/poslp.hpp"
-#include "sparse/kernel_plan.hpp"
 
 namespace psdp::serve {
 
@@ -111,10 +106,6 @@ class ArtifactCache {
     /// Defaulted from the tunable registry (`workspaces_per_entry`).
     std::size_t workspaces_per_entry =
         static_cast<std::size_t>(util::tunable_workspaces_per_entry());
-    /// Transpose-index build options handed to builders. Its
-    /// autotune.plan_cache field is overwritten to point at this cache's
-    /// owned TransposePlanCache (see plan_options()).
-    sparse::TransposePlanOptions plan;
   };
 
   struct Stats {
@@ -124,10 +115,8 @@ class ArtifactCache {
     std::uint64_t workspace_reuses = 0;  ///< leases served from the pool
   };
 
-  /// Builds the instance for a missing key. Receives the cache's
-  /// plan_options() so factor preparation tunes into the owned plan memo.
-  using Builder =
-      std::function<PreparedInstance(const sparse::TransposePlanOptions&)>;
+  /// Builds the instance for a missing key.
+  using Builder = std::function<PreparedInstance()>;
 
   /// One cached instance plus its workspace pool. Shared with jobs; safe
   /// to hold past eviction.
@@ -169,19 +158,11 @@ class ArtifactCache {
   /// The entry for `key` if prepared, nullptr otherwise (no counters).
   std::shared_ptr<Entry> find(const std::string& key);
 
-  /// Build options whose autotune.plan_cache routes into the owned memo;
-  /// pass these to io loaders / generators when preparing instances.
-  sparse::TransposePlanOptions plan_options();
-
-  /// The owned kernel-plan memo (stats feed the bench/test assertions).
-  sparse::TransposePlanCache& plan_cache() { return plan_cache_; }
-
   Stats stats() const;
   std::size_t size() const;
   std::size_t capacity() const { return options_.capacity; }
 
-  /// Drop every entry and the owned plan memo (in-flight leases survive via
-  /// their shared_ptr).
+  /// Drop every entry (in-flight leases survive via their shared_ptr).
   void clear();
 
  private:
@@ -201,7 +182,6 @@ class ArtifactCache {
   std::uint64_t tick_ = 0;
   std::vector<Slot> slots_;  ///< capacity is small; linear scans
   Stats stats_;
-  sparse::TransposePlanCache plan_cache_;
 };
 
 /// RAII lease of a pooled SolverWorkspace: taken per job, returned to the

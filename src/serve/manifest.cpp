@@ -22,27 +22,22 @@ core::ProbeSolver probe_from_name(const std::string& name) {
   return core::ProbeSolver::kDecision;  // unreachable
 }
 
-/// Builder loading `path` at resolve time, routed through the cache's plan
-/// options so loaded factors tune into the owned plan memo. Factorized
-/// paths are sniffed for the chunked container magic and dispatched to the
-/// shard-at-a-time loader; `shards` > 0 requests that partition on the
-/// loaded instance (text or chunked, overriding a chunked file's stored
-/// cuts).
+/// Builder loading `path` at resolve time. Factorized paths are sniffed
+/// for the chunked container magic and dispatched to the shard-at-a-time
+/// loader; `shards` > 0 requests that partition on the loaded instance
+/// (text or chunked, overriding a chunked file's stored cuts).
 ArtifactCache::Builder path_builder(JobKind kind, const std::string& path,
                                     Index shards) {
-  return [kind, path, shards](const sparse::TransposePlanOptions& plan_options) {
+  return [kind, path, shards] {
     switch (kind) {
       case JobKind::kPackingDense:
         return prepare_packing(io::load_packing(path));
       case JobKind::kPackingFactorized: {
         if (io::is_chunked_instance_file(path)) {
-          io::ChunkedLoadOptions options;
-          options.plan_options = plan_options;
           return prepare_factorized(
-              io::load_factorized_chunked(path, options, shards));
+              io::load_factorized_chunked(path, {}, shards));
         }
-        return prepare_factorized(
-            io::load_factorized(path, plan_options, shards));
+        return prepare_factorized(io::load_factorized(path, shards));
       }
       case JobKind::kCovering:
         return prepare_covering(io::load_covering(path));

@@ -10,14 +10,6 @@ namespace psdp::serve {
 
 namespace {
 
-/// Builder for a preloaded shared instance: a cache miss wraps the pointer
-/// (and, for covering, performs the one-time normalization).
-template <typename Wrap>
-ArtifactCache::Builder wrap_builder(Wrap&& wrap) {
-  return [wrap = std::forward<Wrap>(wrap)](
-             const sparse::TransposePlanOptions&) { return wrap(); };
-}
-
 double to_seconds(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
@@ -48,12 +40,12 @@ std::size_t SolveBatch::add_packing(
   job.label = std::move(label);
   job.kind = JobKind::kPackingDense;
   job.options = std::move(options);
-  job.builder = wrap_builder([instance] {
+  job.builder = [instance] {
     PreparedInstance prepared;
     prepared.kind = JobKind::kPackingDense;
     prepared.packing = instance;
     return prepared;
-  });
+  };
   PreparedInstance probe;
   probe.kind = job.kind;
   probe.packing = instance;
@@ -71,12 +63,12 @@ std::size_t SolveBatch::add_factorized(
   job.label = std::move(label);
   job.kind = JobKind::kPackingFactorized;
   job.options = std::move(options);
-  job.builder = wrap_builder([instance] {
+  job.builder = [instance] {
     PreparedInstance prepared;
     prepared.kind = JobKind::kPackingFactorized;
     prepared.factorized = instance;
     return prepared;
-  });
+  };
   PreparedInstance probe;
   probe.kind = job.kind;
   probe.factorized = instance;
@@ -93,14 +85,14 @@ std::size_t SolveBatch::add_covering(
   job.label = std::move(label);
   job.kind = JobKind::kCovering;
   job.options = std::move(options);
-  job.builder = wrap_builder([problem] {
+  job.builder = [problem] {
     PreparedInstance prepared;
     prepared.kind = JobKind::kCovering;
     prepared.covering = problem;
     prepared.normalized = std::make_shared<const core::NormalizedProblem>(
         core::normalize(*problem));
     return prepared;
-  });
+  };
   PreparedInstance probe;
   probe.kind = job.kind;
   probe.covering = problem;
@@ -118,12 +110,12 @@ std::size_t SolveBatch::add_lp(std::string key,
   job.label = std::move(label);
   job.kind = JobKind::kPackingLp;
   job.options = std::move(options);
-  job.builder = wrap_builder([lp] {
+  job.builder = [lp] {
     PreparedInstance prepared;
     prepared.kind = JobKind::kPackingLp;
     prepared.lp = lp;
     return prepared;
-  });
+  };
   PreparedInstance probe;
   probe.kind = job.kind;
   probe.lp = lp;

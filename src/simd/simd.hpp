@@ -9,7 +9,7 @@
 // that is both compiled in and supported by the running CPU becomes active;
 // the PSDP_SIMD environment variable ("scalar", "avx2", "avx512", "neon",
 // "auto") overrides the pick, and set_active_isa() switches it
-// programmatically (tests, the autotuner's forced-scalar measurements).
+// programmatically (tests, benches' forced-scalar measurements).
 //
 // Determinism contract (see docs/ARCHITECTURE.md, "The simd layer"):
 //  * Within one ISA, every kernel reduces each output element through the
@@ -61,14 +61,14 @@ Isa active_isa();
 
 /// Switch the active ISA; throws InvalidArgument when `isa` is not
 /// available. Takes effect for every subsequent active_kernels() call --
-/// callers flip it only at known-quiescent points (tests, autotuner).
+/// callers flip it only at known-quiescent points (tests, benches).
 void set_active_isa(Isa isa);
 
 /// The kernel table of the active ISA. One atomic pointer load; safe to
 /// call from any thread.
 const KernelTable& active_kernels();
 
-/// RAII ISA override for tests and the autotuner's scalar-vs-SIMD
+/// RAII ISA override for tests and the benches' scalar-vs-SIMD
 /// measurements: restores the previous active ISA on scope exit.
 class ScopedIsa {
  public:

@@ -159,9 +159,7 @@ std::uint64_t transpose_index_build_count() {
   return g_transpose_index_builds.load(std::memory_order_relaxed);
 }
 
-void Csr::build_transpose_index() { build_transpose_index({}); }
-
-void Csr::build_transpose_index(const TransposePlanOptions& options) {
+void Csr::build_transpose_index(const TransposeIndexOptions& options) {
   if (t_built_) return;
   g_transpose_index_builds.fetch_add(1, std::memory_order_relaxed);
   t_offsets_.assign(static_cast<std::size_t>(cols_) + 1, 0);
@@ -215,15 +213,6 @@ void Csr::build_transpose_index(const TransposePlanOptions& options) {
       }
     }
   }
-
-  // The kernel plan, built here (setup time) so the apply-time dispatch is
-  // one table walk: measured on this matrix via the shape-bucket memo, or
-  // the heuristic when tuning is off. Either way the plan only selects
-  // between the two bit-identical gathers, so this decision can never
-  // change results (see kernel_plan.hpp).
-  plan_ = options.autotune.enable
-              ? cached_transpose_plan(*this, options.autotune)
-              : KernelPlan::heuristic(has_segment_index());
 }
 
 void Csr::apply_transpose(const Vector& x, Vector& y) const {
@@ -292,40 +281,34 @@ void Csr::apply_transpose_block(const Matrix& x, Matrix& y) const {
 
 void Csr::apply_transpose_block(const Matrix& x, Matrix& y,
                                 std::vector<Real>& partial) const {
-  apply_transpose_block(x, y, partial, nullptr);
-}
-
-void Csr::apply_transpose_block(const Matrix& x, Matrix& y,
-                                std::vector<Real>& partial,
-                                const KernelPlan* plan) const {
   if (!t_built_) {
     apply_transpose_block_owned(x, y, partial);
-    return;
-  }
-  // A caller-provided plan is honored only when its provenance matches the
-  // running kernel set and active ISA: a stale plan (deserialized from an
-  // older revision, or tuned under another dispatch target) carries timings
-  // about kernels this process does not run, so the matrix's own plan --
-  // freshly stamped at build_transpose_index() time -- decides instead.
-  const KernelPlan& p =
-      plan != nullptr && !plan->entries().empty() && !plan->stale() ? *plan
-                                                                    : plan_;
-  switch (p.choose(x.cols())) {
-    case TransposeKernel::kSegmented:
-      if (has_segment_index()) {
-        apply_transpose_block_segmented(x, y);
-        return;
-      }
-      // No grid on this matrix: the plain gather is the bit-identical twin.
-      [[fallthrough]];
-    case TransposeKernel::kGather:
-      apply_transpose_block_indexed(x, y);
-      return;
-    case TransposeKernel::kScatter:
-      apply_transpose_block_owned(x, y, partial);
-      return;
+  } else if (has_segment_index()) {
+    apply_transpose_block_segmented(x, y);
+  } else {
+    apply_transpose_block_indexed(x, y);
   }
 }
+
+KernelPlan Csr::kernel_plan() const {
+  if (!t_built_) return KernelPlan(TransposeKernel::kScatter);
+  return KernelPlan(has_segment_index() ? TransposeKernel::kSegmented
+                                        : TransposeKernel::kGather);
+}
+
+const char* kernel_name(TransposeKernel kernel) {
+  switch (kernel) {
+    case TransposeKernel::kGather:
+      return "gather";
+    case TransposeKernel::kSegmented:
+      return "segmented";
+    case TransposeKernel::kScatter:
+      return "scatter";
+  }
+  return "unknown";
+}
+
+void clear_transpose_plan_cache() {}
 
 void Csr::apply_transpose_block_owned(const Matrix& x, Matrix& y,
                                       std::vector<Real>& partial) const {
@@ -393,7 +376,7 @@ void Csr::apply_transpose_block_indexed(const Matrix& x, Matrix& y) const {
 void Csr::apply_transpose_block_segmented(const Matrix& x, Matrix& y) const {
   PSDP_CHECK(has_segment_index(),
              "csr apply_transpose_block_segmented: no segment grid (see "
-             "TransposePlanOptions::segment_rows)");
+             "TransposeIndexOptions::segment_rows)");
   PSDP_CHECK(x.rows() == rows_, "csr apply_transpose_block: dimension mismatch");
   const Index b = x.cols();
   PSDP_CHECK(b >= 1,

@@ -8,21 +8,23 @@
 // Transpose kernels: `Q^T x` has three panel kernels -- the per-output-row
 // CSC gather, the segmented-column gather (the same reduction swept one
 // cache-sized row window at a time), and the owned-column scatter. Which
-// one runs is decided by a KernelPlan (sparse/kernel_plan.hpp), measured
-// on the actual matrix at build_transpose_index() time; the gather and the
-// segmented gather are bitwise identical to each other at every thread
-// count, so the plan's choice never changes results. See
-// docs/ARCHITECTURE.md ("The sparse layer") and docs/TUNING.md.
+// one runs is a fixed rule on what build_transpose_index() left behind
+// (see apply_transpose_block); the gather and the segmented gather are
+// bitwise identical to each other at every thread count, so the rule
+// never changes results. See docs/ARCHITECTURE.md ("The sparse layer")
+// and docs/TUNING.md.
 #pragma once
 
+#include <array>
 #include <span>
 #include <vector>
 
 #include "linalg/matrix.hpp"
 #include "linalg/matrixf.hpp"
 #include "linalg/vector.hpp"
-#include "sparse/kernel_plan.hpp"
+#include "simd/simd.hpp"
 #include "util/common.hpp"
+#include "util/tunables.hpp"
 
 namespace psdp::sparse {
 
@@ -37,9 +39,70 @@ struct Triplet {
   Real value = 0;   ///< entry value (duplicates are summed)
 };
 
+/// Options of Csr::build_transpose_index(): the segment grid.
+struct TransposeIndexOptions {
+  /// Base row granularity of the segment grid; the apply-time window is a
+  /// whole multiple of this. 0 disables the grid (and with it the
+  /// segmented kernel). Matrices with rows <= segment_rows skip the grid:
+  /// a single segment is exactly the plain gather. Defaulted from the
+  /// tunable registry (`segment_rows`, default 1024).
+  Index segment_rows = util::tunable_segment_rows();
+  /// Skip the grid when its offset table would exceed this multiple of the
+  /// nonzero count -- wide matrices (many columns, few segments' worth of
+  /// rows each) would pay more index than data. Tall factors sail under
+  /// the default; tests raise it to force grids on tiny shapes.
+  Real max_segment_index_ratio = 1.0;
+  /// Bytes of input panel one segmented-gather window targets at apply
+  /// time (window rows ~ window_bytes / (8 b), rounded to whole segments).
+  /// A pure locality knob -- every window size produces identical bits --
+  /// sized by default for the shared cache level, since all threads sweep
+  /// the same window. When a single window covers the whole matrix the
+  /// segmented kernel delegates to the plain gather (same bits, none of
+  /// the windowing overhead); tests shrink this to force multi-window
+  /// sweeps on tiny matrices. Defaulted from the tunable registry
+  /// (`window_bytes`, default 1 MiB).
+  Index window_bytes = util::tunable_window_bytes();
+};
+
+// Provenance shim: the perfbench harness prints which transpose kernel a
+// factor runs ("transpose_plan=...") through the names below. They
+// describe the fixed rule of Csr::apply_transpose_block; nothing in the
+// library consults them.
+
+/// The three transpose-panel kernels (see Csr::apply_transpose_block).
+enum class TransposeKernel {
+  kGather,     ///< per-output-row CSC gather (apply_transpose_block_indexed)
+  kSegmented,  ///< the gather swept one row window at a time (same bits)
+  kScatter,    ///< owned-column scatter, the only kernel without an index
+};
+
+/// Stable lower-case name of a kernel ("gather", "segmented", "scatter").
+const char* kernel_name(TransposeKernel kernel);
+
+/// The kernel a matrix's transpose dispatch runs, at every panel width.
+struct KernelPlanEntry {
+  Index width = 0;  ///< 0: the entry covers every panel width
+  TransposeKernel choice = TransposeKernel::kGather;
+};
+
+/// One-entry description of the fixed dispatch (Csr::kernel_plan()):
+/// never measured, and valid under whichever ISA is active.
+class KernelPlan {
+ public:
+  explicit KernelPlan(TransposeKernel choice) : entries_{{{0, choice}}} {}
+  const std::array<KernelPlanEntry, 1>& entries() const { return entries_; }
+  bool measured() const { return false; }
+  simd::Isa isa() const { return simd::active_isa(); }
+
+ private:
+  std::array<KernelPlanEntry, 1> entries_;
+};
+
+/// No-op: there is no plan cache left to clear.
+void clear_transpose_plan_cache();
+
 /// A sparse rows() x cols() matrix in CSR layout, with optional cached
-/// transpose (CSC) and segment indexes driving the plan-dispatched
-/// transpose kernels.
+/// transpose (CSC) and segment indexes selecting the transpose kernel.
 class Csr {
  public:
   Csr() = default;
@@ -104,14 +167,8 @@ class Csr {
   ///
   /// Alongside the CSC view this builds (when `options` permit) the
   /// *segment grid* -- per-column offsets of each options.segment_rows-row
-  /// window, enabling the segmented gather -- and the KernelPlan: the
-  /// autotuner measures the kernels on this matrix (memoized per shape
-  /// bucket) or, when disabled, the measurement-free heuristic. The plan
-  /// is built here, at setup time, precisely so the steady-state solver
-  /// iterations above stay allocation-free and measurement-free.
-  void build_transpose_index(const TransposePlanOptions& options);
-  /// build_transpose_index with default TransposePlanOptions.
-  void build_transpose_index();
+  /// window, enabling the segmented gather.
+  void build_transpose_index(const TransposeIndexOptions& options = {});
   /// True once build_transpose_index() has run.
   bool has_transpose_index() const { return t_built_; }
   /// The cached CSC view (empty before build_transpose_index()): column
@@ -128,13 +185,9 @@ class Csr {
   /// Base row granularity of the segment grid (0 = no grid).
   Index segment_rows() const { return t_segment_rows_; }
 
-  /// The transpose-kernel plan built by build_transpose_index() (empty
-  /// before that; an empty plan dispatches to the gather).
-  const KernelPlan& kernel_plan() const { return plan_; }
-  /// Replace the plan -- deserialized from a bench run, forced for an A/B
-  /// experiment, or hand-tuned. Forcing kScatter is honored but gives up
-  /// the across-thread-count bitwise guarantee (see KernelPlan).
-  void set_kernel_plan(KernelPlan plan) { plan_ = std::move(plan); }
+  /// The kernel apply_transpose_block runs on this matrix, as a
+  /// KernelPlan description (perfbench provenance only).
+  KernelPlan kernel_plan() const;
 
   /// y = A^T x: the transpose-index gather when built (deterministic for
   /// any thread count), the owned-column sweep otherwise (deterministic for
@@ -150,26 +203,18 @@ class Csr {
   /// bit-identical to apply() on column t of X (same accumulation order).
   void apply_block(const Matrix& x, Matrix& y) const;
 
-  /// Y = A^T X for a row-major rows() x b panel: dispatched through the
-  /// KernelPlan (kernel_plan(), or `plan` when non-null, non-empty, and
-  /// not stale -- a plan tuned under another ISA or kernel-set revision
-  /// says nothing about this binary's kernels and is ignored).
-  /// Plans built by the autotuner only select the gather or the segmented
-  /// gather, which are bitwise identical to each other at every thread
-  /// count -- so the dispatch can never change results. Without a
-  /// transpose index the owned-column scatter is the only kernel and runs
-  /// regardless of the plan. The overload taking `partial` recycles the
-  /// scatter path's per-chunk accumulators across calls, keeping the hot
-  /// path allocation-free for every kernel choice.
+  /// Y = A^T X for a row-major rows() x b panel, by a fixed rule: no
+  /// transpose index -> the owned-column scatter; a segment grid -> the
+  /// segmented gather (which itself runs the plain gather when one window
+  /// covers the matrix); otherwise the plain gather. The two gathers are
+  /// bitwise identical at every width and thread count, so the rule never
+  /// changes results. The overload taking `partial` recycles the scatter
+  /// path's per-chunk accumulators across calls, keeping the hot path
+  /// allocation-free for every kernel.
   void apply_transpose_block(const Matrix& x, Matrix& y) const;
   /// apply_transpose_block recycling the scatter path's `partial` buffer.
   void apply_transpose_block(const Matrix& x, Matrix& y,
                              std::vector<Real>& partial) const;
-  /// apply_transpose_block under a caller-provided plan (nullptr or empty
-  /// = this matrix's own kernel_plan()).
-  void apply_transpose_block(const Matrix& x, Matrix& y,
-                             std::vector<Real>& partial,
-                             const KernelPlan* plan) const;
 
   /// The owned-column scatter, always available: parallel over row chunks
   /// with per-chunk cols() x b accumulators (resized into `partial`,
@@ -189,7 +234,7 @@ class Csr {
   /// The segmented-column gather (requires the segment grid): the same
   /// per-output ascending-row reduction as apply_transpose_block_indexed,
   /// but swept one row *window* at a time -- a whole multiple of
-  /// segment_rows() sized by TransposePlanOptions::window_bytes so the
+  /// segment_rows() sized by TransposeIndexOptions::window_bytes so the
   /// window's slice of the input panel (window rows x b doubles) stays
   /// cache-resident and shared across all threads, with upcoming entry
   /// rows software-prefetched -- which is what the plain gather lacks at
@@ -219,9 +264,9 @@ class Csr {
 
   /// Float32 twin of apply_transpose_block: the CSC gather when the
   /// transpose index exists (t_values_f), the owned-column scatter over
-  /// `partial` chunks otherwise (values_f). No segmented/plan dispatch --
-  /// the float path only runs on factor panels, where the plain gather is
-  /// the right kernel.
+  /// `partial` chunks otherwise (values_f). No segmented dispatch -- the
+  /// float path only runs on factor panels, where the plain gather is the
+  /// right kernel.
   void apply_transpose_block_f(const MatrixF& x, MatrixF& y,
                                std::span<const float> values_f,
                                std::span<const float> t_values_f,
@@ -260,9 +305,6 @@ class Csr {
   Index t_segment_rows_ = 0;  ///< 0 = no grid
   Index t_window_bytes_ = 0;  ///< segmented-gather window target (see build)
   std::vector<Index> t_seg_starts_;
-
-  /// Transpose-kernel decision table (see build_transpose_index).
-  KernelPlan plan_;
 };
 
 /// C = A + s * B for same-shaped CSR matrices (structural union).

@@ -41,18 +41,14 @@ Real factor_lambda_max_bound(const Csr& q) {
 
 }  // namespace
 
-FactorizedPsd::FactorizedPsd(Csr q)
-    : FactorizedPsd(std::move(q), TransposePlanOptions{}) {}
-
-FactorizedPsd::FactorizedPsd(Csr q, const TransposePlanOptions& plan_options)
-    : q_(std::move(q)) {
+FactorizedPsd::FactorizedPsd(Csr q) : q_(std::move(q)) {
   PSDP_CHECK(q_.rows() >= 1, "factorized PSD: Q must have at least one row");
   // Tall factors get the cached CSC view: every Q^T application (two per
   // Taylor step on the sketched hot path) then runs the gather kernel
   // instead of the owned-column scatter.
   if (q_.rows() >=
       kTransposeIndexAspect * std::max<Index>(1, q_.cols())) {
-    q_.build_transpose_index(plan_options);
+    q_.build_transpose_index();
   }
   lambda_bound_ = factor_lambda_max_bound(q_);
   const auto offsets = q_.row_offsets();
@@ -201,9 +197,8 @@ FactorizedSet::FactorizedSet(std::vector<FactorizedPsd> items)
   }
 }
 
-void FactorizedSet::ensure_transpose_indexes(
-    const TransposePlanOptions& plan_options) {
-  for (FactorizedPsd& item : items_) item.ensure_transpose_index(plan_options);
+void FactorizedSet::ensure_transpose_indexes() {
+  for (FactorizedPsd& item : items_) item.ensure_transpose_index();
 }
 
 const FactorizedPsd& FactorizedSet::operator[](Index i) const {
@@ -289,7 +284,7 @@ void FactorizedSet::weighted_apply_block(const Vector& x, const Matrix& v,
     const auto at = static_cast<std::size_t>(i);
     const Csr& q = items_[at].q();
     Matrix& s = workspace.blocks[at];
-    q.apply_transpose_block(v, s, workspace.partials[at], workspace.plan);
+    q.apply_transpose_block(v, s, workspace.partials[at]);
     return simd::PsiTerm<Real>{q.col_indices().data(), q.values().data(),
                                s.data(), x[i]};
   }, simd::active_kernels().psi_rows, y.data());

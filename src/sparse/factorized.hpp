@@ -33,13 +33,6 @@ class FactorizedPsd {
   /// transpose index built here, so their Q^T kernels run the gather path.
   explicit FactorizedPsd(Csr q);
 
-  /// As above, but the transpose index (and with it the segment grid and
-  /// the KernelPlan) is built under the caller's options -- in particular
-  /// TransposePlanOptions::autotune.plan_cache, which is how the serve
-  /// layer's ArtifactCache routes plan memoization of the instances it
-  /// prepares into its own owned cache instead of the process-wide one.
-  FactorizedPsd(Csr q, const TransposePlanOptions& plan_options);
-
   /// Rank-1 special case A = v v^T (beamforming channels, graph edges).
   static FactorizedPsd rank_one(const Vector& v, Real drop_tol = 0);
 
@@ -54,9 +47,7 @@ class FactorizedPsd {
   /// FactorizedSet::ensure_transpose_indexes) for every factor when K > 1:
   /// the CSC gather kernels are thread-count deterministic, the fallback
   /// owned-column scatter is not.
-  void ensure_transpose_index(const TransposePlanOptions& plan_options) {
-    q_.build_transpose_index(plan_options);
-  }
+  void ensure_transpose_index() { q_.build_transpose_index(); }
 
   Index dim() const { return q_.rows(); }
   Index factor_cols() const { return q_.cols(); }
@@ -121,7 +112,7 @@ class FactorizedSet {
   /// Build (idempotently) every factor's transpose index regardless of the
   /// aspect gate (FactorizedPsd::ensure_transpose_index). The K > 1
   /// sharded sets call this; the CSR arrays the row index spans stay put.
-  void ensure_transpose_indexes(const TransposePlanOptions& plan_options);
+  void ensure_transpose_indexes();
 
   /// Psi = sum_i x_i A_i as a sparse CSR matrix (union of factor supports).
   /// Entries with weight zero are skipped.
@@ -136,8 +127,8 @@ class FactorizedSet {
   /// set-level sweep in two work-gated parallel regions:
   ///  1. over constraints: for each nonzero weight, the transpose SpMM
   ///     S_i = Q_i^T V into the constraint's own k_i x b workspace block
-  ///     (Csr::apply_transpose_block under the workspace plan; the owned-
-  ///     column scatter, run inline there, keeps its chunk count);
+  ///     (Csr::apply_transpose_block; the owned-column scatter, run
+  ///     inline there, keeps its chunk count);
   ///  2. over output rows: Y[r,:] = sum_i x_i (Q_i[r,:] S_i) over the row's
   ///     segments in ascending i, through simd psi_rows; rows without
   ///     entries are written as zeros.
@@ -159,11 +150,6 @@ class FactorizedSet {
     std::vector<std::vector<Real>> partials;
     /// Per-constraint operands of the row pass (simd::PsiTerm).
     std::vector<simd::PsiTerm<Real>> terms;
-    /// Caller-provided transpose KernelPlan applied to every factor's Q^T
-    /// panels (nullptr = each factor's own plan). big_dot_exp wires
-    /// BigDotExpOptions::kernel_plan through here; holding a plan is a
-    /// pointer copy, so the zero-allocation steady state is unaffected.
-    const KernelPlan* plan = nullptr;
 
     /// Float twins of the buffers above, used only by the mixed-precision
     /// sketch mode (BigDotExpOptions::panel_precision).

@@ -10,14 +10,13 @@ ShardedFactorizedSet::ShardedFactorizedSet(FactorizedSet set)
   offsets_ = {0, set_.size()};
 }
 
-ShardedFactorizedSet::ShardedFactorizedSet(
-    FactorizedSet set, Index shard_count,
-    const TransposePlanOptions& plan_options)
+ShardedFactorizedSet::ShardedFactorizedSet(FactorizedSet set,
+                                           Index shard_count)
     : set_(std::move(set)) {
   offsets_ = partition_offsets(set_, shard_count);
   // Bit-identical legacy path when a single shard results: no index
   // forcing, the set is taken verbatim.
-  if (this->shard_count() > 1) force_transpose_indexes(plan_options);
+  if (this->shard_count() > 1) force_transpose_indexes();
 }
 
 std::vector<Index> ShardedFactorizedSet::partition_offsets(
@@ -54,9 +53,8 @@ std::vector<Index> ShardedFactorizedSet::partition_offsets(
   return offsets;
 }
 
-ShardedFactorizedSet::ShardedFactorizedSet(
-    FactorizedSet set, std::vector<Index> offsets,
-    const TransposePlanOptions& plan_options)
+ShardedFactorizedSet::ShardedFactorizedSet(FactorizedSet set,
+                                           std::vector<Index> offsets)
     : set_(std::move(set)), offsets_(std::move(offsets)) {
   PSDP_CHECK(offsets_.size() >= 2, "sharded set: offsets need >= 2 entries");
   PSDP_CHECK(offsets_.front() == 0, "sharded set: offsets must start at 0");
@@ -67,7 +65,7 @@ ShardedFactorizedSet::ShardedFactorizedSet(
     PSDP_CHECK(offsets_[k] < offsets_[k + 1],
                str("sharded set: shard ", k, " is empty"));
   }
-  if (shard_count() > 1) force_transpose_indexes(plan_options);
+  if (shard_count() > 1) force_transpose_indexes();
 }
 
 Index ShardedFactorizedSet::shard_begin(Index k) const {
@@ -98,13 +96,12 @@ ShardedFactorizedSet ShardedFactorizedSet::scaled(Real s) const {
   return out;
 }
 
-void ShardedFactorizedSet::force_transpose_indexes(
-    const TransposePlanOptions& plan_options) {
+void ShardedFactorizedSet::force_transpose_indexes() {
   // K>1 determinism leg: every factor runs the CSC gather kernels, whose
   // per-output serial reductions are independent of the pool width. The
   // short/wide factors the aspect gate skipped get their index here;
   // build_transpose_index is idempotent for the tall ones.
-  set_.ensure_transpose_indexes(plan_options);
+  set_.ensure_transpose_indexes();
 }
 
 }  // namespace psdp::sparse

@@ -6,7 +6,7 @@
 // [shard_begin(k), shard_end(k)), balanced by nnz so the per-shard dots
 // sweeps of bigDotExp (Theorem 4.1's ||S Q_i||_F^2 loop, embarrassingly
 // partitionable across constraints) carry comparable work. Each shard's
-// factors own their transpose index, segment grid and KernelPlan exactly as
+// factors own their transpose index and segment grid exactly as
 // before; the shard adds the slice boundaries that the per-shard sweeps,
 // the per-shard workspace slices and the chunked on-disk format all key on.
 //
@@ -45,18 +45,16 @@ class ShardedFactorizedSet {
 
   /// Partition `set` into `shard_count` contiguous shards balanced by nnz
   /// (clamped to [1, size()]). With shard_count > 1 every factor gets its
-  /// transpose index built under `plan_options` (idempotent for factors
-  /// that already have one) -- the determinism contract above requires the
-  /// gather kernels on every factor, not just the tall ones.
-  ShardedFactorizedSet(FactorizedSet set, Index shard_count,
-                       const TransposePlanOptions& plan_options = {});
+  /// transpose index built (idempotent for factors that already have one)
+  /// -- the determinism contract above requires the gather kernels on
+  /// every factor, not just the tall ones.
+  ShardedFactorizedSet(FactorizedSet set, Index shard_count);
 
   /// Adopt pre-cut shard boundaries (the chunked loader's shard table):
   /// `offsets` has shard_count+1 non-decreasing entries from 0 to
   /// set.size() with every shard non-empty. Index forcing as above when
   /// more than one shard.
-  ShardedFactorizedSet(FactorizedSet set, std::vector<Index> offsets,
-                       const TransposePlanOptions& plan_options = {});
+  ShardedFactorizedSet(FactorizedSet set, std::vector<Index> offsets);
 
   Index size() const { return set_.size(); }
   Index dim() const { return set_.dim(); }
@@ -97,7 +95,7 @@ class ShardedFactorizedSet {
                                               Index shard_count);
 
  private:
-  void force_transpose_indexes(const TransposePlanOptions& plan_options);
+  void force_transpose_indexes();
 
   FactorizedSet set_;
   std::vector<Index> offsets_;  ///< K+1 shard boundaries over [0, size()]

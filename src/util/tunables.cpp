@@ -36,7 +36,7 @@ std::string normalize(const std::string& name) {
   return out;
 }
 
-// Exact-round-trip number formatting, the KernelPlan discipline: whole
+// Exact-round-trip number formatting: whole
 // values print as integers (the common case for Index tunables), anything
 // else at max_digits10 so strtod recovers the bits.
 std::string format_number(double v) {

@@ -3,7 +3,7 @@
 //
 // Before this layer each knob landed with its own ad-hoc flag, default and
 // validation, scattered across core options (block_size, dot_block_size,
-// kappa_cap), the sparse autotuner (segment window, plan-cache capacity),
+// kappa_cap), the sparse transpose index (segment grid and window),
 // the serve scheduler (lane count, wide_work, cache capacities) and the par
 // substrate (grain, thread default). PSDP_TUNABLE_LIST is now the single
 // source of truth, in the chess-engine SPSA idiom: each entry names the
@@ -19,8 +19,8 @@
 //     defaults, locked by tests/test_tunables.cpp),
 //   * auto-generated CLI flags (--tune-<name>, add_tunable_flags),
 //     PSDP_TUNE_<NAME> environment overrides, serve-manifest "set
-//     key=value" lines, and a JSON snapshot/restore with the same exact
-//     round-trip discipline as sparse::KernelPlan.
+//     key=value" lines, and a JSON snapshot/restore that round-trips
+//     every value exactly.
 //
 // Override precedence is purely temporal -- later writers win -- and the
 // wiring applies them in the order default < environment (registry
@@ -66,9 +66,10 @@ class Cli;
 // Knob semantics (and the option field each default used to live in):
 //   block_size           BigDotExpOptions::block_size; 0 = auto
 //   dot_block_size       OptimizeOptions::dot_block_size; 0 = inherit
-//   segment_rows         TransposePlanOptions::segment_rows (segment grid
-//                        granularity); 0 would disable grids, so min is 16
-//   window_bytes         TransposePlanOptions::window_bytes (segmented-
+//   segment_rows         TransposeIndexOptions::segment_rows (segment
+//                        grid granularity); 0 would disable grids, so
+//                        min is 16
+//   window_bytes         TransposeIndexOptions::window_bytes (segmented-
 //                        gather window)
 //   lanes                SchedulerOptions::lanes; 0 = auto
 //   threads              par thread-pool default width; 0 = hardware
@@ -80,7 +81,6 @@ class Cli;
 //   bound_flux_ratio     sketched-oracle cancellation-guard ratio
 //   cache_capacity       ArtifactCache::Options::capacity
 //   workspaces_per_entry ArtifactCache::Options::workspaces_per_entry
-//   plan_cache_capacity  process-wide TransposePlanCache capacity
 //   shards               constraint-shard count of factorized instances
 //                        (ShardedFactorizedSet); 1 = the unsharded legacy
 //                        path (bit-identical), >1 engages the per-shard
@@ -102,7 +102,6 @@ class Cli;
   PSDP_TUNABLE(bound_flux_ratio, Real, 8, 1, 64, 1)                       \
   PSDP_TUNABLE(cache_capacity, Index, 32, 1, 4096, 4)                     \
   PSDP_TUNABLE(workspaces_per_entry, Index, 8, 0, 256, 1)                 \
-  PSDP_TUNABLE(plan_cache_capacity, Index, 256, 1, 65536, 16)              \
   PSDP_TUNABLE(shards, Index, 1, 1, 256, 1)
 
 /// One enumerator per registry entry, in list order.
@@ -200,8 +199,7 @@ PSDP_TUNABLE_LIST(PSDP_TUNABLE)
 void add_tunable_flags(Cli& cli);
 
 /// The (ceil_log2 nnz, ceil_log2 rows, ceil_log2 cols) shape bucket tuned
-/// profiles are keyed by -- the same bucketing discipline as the
-/// TransposePlanCache memo, so same-shaped workloads share a profile.
+/// profiles are keyed by, so same-shaped workloads share a profile.
 struct ShapeBucket {
   std::int64_t log2_nnz = 0;
   std::int64_t log2_rows = 0;
@@ -216,7 +214,7 @@ struct ShapeBucket {
 };
 
 /// Persisted tuned profiles: shape bucket -> (tunable name, value) pairs.
-/// JSON round-trips exactly (same discipline as KernelPlan):
+/// JSON round-trips exactly (see the number formatting in tunables.cpp):
 ///
 ///   {"tunable_profiles": [
 ///     {"log2_nnz": 14, "log2_rows": 10, "log2_cols": 4,

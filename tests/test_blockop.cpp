@@ -552,8 +552,6 @@ TEST(BigDotExpBlocked, FusedDotsAreBitwiseTheRowScatter) {
   ASSERT_TRUE(tall[0].q().has_transpose_index());
   ASSERT_FALSE(wide[0].q().has_transpose_index());
   ASSERT_TRUE(forced.set()[0].q().has_transpose_index());
-  const sparse::KernelPlan scatter_plan =
-      sparse::KernelPlan::forced(sparse::TransposeKernel::kScatter);
   constexpr Index kRows = 40;
   for (const sparse::FactorizedSet* set : {&tall, &wide, &forced.set()}) {
     const Index m = set->dim();
@@ -587,18 +585,12 @@ TEST(BigDotExpBlocked, FusedDotsAreBitwiseTheRowScatter) {
         }
         for (const int threads : {1, 4}) {
           par::set_num_threads(threads);
-          for (const sparse::KernelPlan* plan :
-               {static_cast<const sparse::KernelPlan*>(nullptr),
-                &scatter_plan}) {
-            options.kernel_plan = plan;
-            const core::BigDotExpResult r = core::big_dot_exp(phi, 1.0, *set,
-                                                              options);
-            ASSERT_TRUE(r.fused);
-            EXPECT_TRUE(same_bytes(r.dots.data(), want.data(), set->size()))
-                << "m " << m << " " << simd::isa_name(isa) << " block "
-                << block << " threads " << threads
-                << (plan != nullptr ? " forced scatter plan" : "");
-          }
+          const core::BigDotExpResult r =
+              core::big_dot_exp(phi, 1.0, *set, options);
+          ASSERT_TRUE(r.fused);
+          EXPECT_TRUE(same_bytes(r.dots.data(), want.data(), set->size()))
+              << "m " << m << " " << simd::isa_name(isa) << " block "
+              << block << " threads " << threads;
         }
       }
     }
@@ -663,32 +655,12 @@ TEST(BigDotExpBlocked, RejectsNegativeBlockSize) {
   EXPECT_THROW(core::big_dot_exp(f.phi, 1.0, f.set, options), InvalidArgument);
 }
 
-TEST(TimeBlockKernel, WarmupRunsUntimedBeforeTheRepetitions) {
+TEST(TimeBlockKernel, RunsExactlyTheRequestedRepetitions) {
   int calls = 0;
-  linalg::TimingOptions options;
-  options.reps = 3;
-  options.warmup = 2;
-  const double seconds =
-      linalg::time_block_kernel(options, [&] { ++calls; });
-  EXPECT_EQ(calls, 5);  // 2 untimed warmup runs + 3 timed repetitions
+  const double seconds = linalg::time_block_kernel(3, [&] { ++calls; });
+  EXPECT_EQ(calls, 3);
   EXPECT_GE(seconds, 0.0);
-}
-
-TEST(TimeBlockKernel, ElapsedFloorExtendsAndCapsRepetitions) {
-  // A near-instant body cannot reach a 2 ms floor in 1 rep: the sampler
-  // keeps repeating -- but the 64-rep cap bounds it, so a mis-sized floor
-  // cannot hang a tuner.
-  int calls = 0;
-  linalg::TimingOptions options;
-  options.reps = 1;
-  options.min_elapsed_seconds = 2e-3;
-  linalg::time_block_kernel(options, [&] { ++calls; });
-  EXPECT_GT(calls, 1);
-  EXPECT_LE(calls, 64);
-  // The int overload is the same sampler with no warmup and no floor.
-  calls = 0;
-  linalg::time_block_kernel(2, [&] { ++calls; });
-  EXPECT_EQ(calls, 2);
+  EXPECT_THROW(linalg::time_block_kernel(0, [] {}), InvalidArgument);
 }
 
 }  // namespace

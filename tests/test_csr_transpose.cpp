@@ -10,19 +10,23 @@
 //     of them), and
 //   * gather == scatter bitwise at one thread (same accumulation order),
 // so future kernel refactors cannot silently change a single bit of the
-// solver trajectories that sit on top of these kernels. The KernelPlan
-// dispatch inherits the same guarantee: autotuned plans only choose
-// between the two bit-identical gathers, so whatever the plan decides,
-// apply_transpose_block matches the gather bitwise.
+// solver trajectories that sit on top of these kernels. The
+// apply_transpose_block dispatch inherits the same guarantee: it runs the
+// segmented gather on gridded matrices and the plain gather on grid-less
+// indexed ones -- bit-identical twins -- and the scatter only when there is
+// no transpose index at all.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "apps/generators.hpp"
+#include "core/penalty_oracle.hpp"
+#include "par/cost_meter.hpp"
 #include "par/parallel.hpp"
 #include "rand/rng.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/kernel_plan.hpp"
 #include "test_helpers.hpp"
+#include "util/tunables.hpp"
 
 namespace psdp::sparse {
 namespace {
@@ -80,13 +84,12 @@ Matrix naive_transpose_block(const Csr& a, const Matrix& x) {
 
 /// Build options forcing a segment grid on the tiny test shapes (small base
 /// granularity, tiny windows so the multi-window sweep actually runs, no
-/// index-overhead gate, no timing runs).
-TransposePlanOptions forced_grid_options(Index segment_rows) {
-  TransposePlanOptions options;
+/// index-overhead gate).
+TransposeIndexOptions forced_grid_options(Index segment_rows) {
+  TransposeIndexOptions options;
   options.segment_rows = segment_rows;
   options.window_bytes = 64;  // ~1 segment per window at every test width
   options.max_segment_index_ratio = 1e9;
-  options.autotune.enable = false;
   return options;
 }
 
@@ -177,38 +180,17 @@ TEST_P(CsrTransposeEquivalence, GatherSegmentedScatterAndNaiveAgree) {
             << "gather result changed with thread count " << threads;
       }
 
-      // The public entry point dispatches through the KernelPlan. Plans
-      // built here only ever choose the gather or the segmented gather --
-      // bit-identical twins -- so whatever the plan decided, the dispatch
-      // must equal the gather bitwise.
+      // The public entry point's fixed rule: the segmented gather on a
+      // gridded matrix, the plain gather on a grid-less indexed one, the
+      // scatter (at this fixed thread count) without an index.
+      ASSERT_FALSE(indexed.has_segment_index());
       Matrix yd;
-      indexed.apply_transpose_block(x, yd);
+      segmented.apply_transpose_block(x, yd, partial);
+      EXPECT_EQ(yd, yseg);
+      indexed.apply_transpose_block(x, yd, partial);
       EXPECT_EQ(yd, yg);
-      Matrix yd_seg;
-      segmented.apply_transpose_block(x, yd_seg);
-      EXPECT_EQ(yd_seg, yg);
-      Matrix yd_owned;
-      owned.apply_transpose_block(x, yd_owned);
-      EXPECT_EQ(yd_owned, ys);  // no index: the scatter is the only kernel
-
-      // Forcing each kernel through a caller-provided plan reproduces the
-      // raw kernel's bits exactly (scatter: at this fixed thread count).
-      const KernelPlan force_gather = KernelPlan::forced(TransposeKernel::kGather);
-      const KernelPlan force_segmented =
-          KernelPlan::forced(TransposeKernel::kSegmented);
-      const KernelPlan force_scatter =
-          KernelPlan::forced(TransposeKernel::kScatter);
-      Matrix yf;
-      segmented.apply_transpose_block(x, yf, partial, &force_gather);
-      EXPECT_EQ(yf, yg);
-      segmented.apply_transpose_block(x, yf, partial, &force_segmented);
-      EXPECT_EQ(yf, yseg);
-      segmented.apply_transpose_block(x, yf, partial, &force_scatter);
-      EXPECT_EQ(yf, ys);
-      // Forcing the segmented gather on a matrix without a grid falls back
-      // to its bit-identical twin instead of failing.
-      indexed.apply_transpose_block(x, yf, partial, &force_segmented);
-      EXPECT_EQ(yf, yg);
+      owned.apply_transpose_block(x, yd, partial);
+      EXPECT_EQ(yd, ys);
     }
   }
 }
@@ -276,9 +258,8 @@ TEST(CsrTransposeIndex, GridSkippedWhenOffsetTableOutweighsData) {
   // Wide and sparse: the (num_segments+1) x cols offset table would dwarf
   // the nonzeros, so the default overhead gate skips the grid.
   Csr wide = random_sparse(128, 400, 1, 21);
-  TransposePlanOptions options;
+  TransposeIndexOptions options;
   options.segment_rows = 4;  // 33 grid rows x 400 cols >> nnz
-  options.autotune.enable = false;
   wide.build_transpose_index(options);
   EXPECT_TRUE(wide.has_transpose_index());
   EXPECT_FALSE(wide.has_segment_index());
@@ -316,7 +297,7 @@ TEST(CsrWorkGate, SpmmAndGathersBitwiseAcrossTheGate) {
       const Index cols = std::max<Index>(2, rows / 8);
       Csr a = random_sparse(rows, cols, 8, 500 + static_cast<std::uint64_t>(b));
       // Two segment windows, each carrying half the nonzeros.
-      TransposePlanOptions options = forced_grid_options((rows + 1) / 2);
+      TransposeIndexOptions options = forced_grid_options((rows + 1) / 2);
       options.window_bytes = 1;
       a.build_transpose_index(options);
       ASSERT_TRUE(a.has_segment_index());
@@ -366,6 +347,81 @@ TEST(CsrWorkGate, SpmmAndGathersBitwiseAcrossTheGate) {
           << "b=" << b << " above=" << above;
       EXPECT_EQ(serial.gather, serial.segmented) << "b=" << b;
       EXPECT_MATRIX_NEAR(serial.gather, naive_transpose_block(a, xt), 1e-10);
+    }
+  }
+}
+
+// The oracle-level face of the dispatch: penalties of the sketched oracle
+// must not move by a bit when the segment window shrinks from covering the
+// whole factor (the dispatch ends in the plain gather) to the smallest the
+// tunable allows (the segmented gather sweeps several windows).
+TEST(TransposeDispatchThreading, OraclePenaltiesInvariantToWindowing) {
+  // Tall factors (2048 x 2) get the transpose index and a default segment
+  // grid (2 segments of 1024 rows) at construction; the window is read
+  // from the `window_bytes` tunable at that time.
+  const apps::FactorizedOptions generator{
+      .n = 6, .m = 2048, .rank = 2, .nnz_per_column = 8, .seed = 3};
+  constexpr Index kBlock = 4;
+  const core::FactorizedPackingInstance whole_window =
+      apps::random_factorized(generator);
+  const util::TunableId window = util::TunableId::k_window_bytes;
+  const double saved_window = util::tunables().get(window);
+  util::tunables().set(window, 4096);  // the minimum: 1 segment per window
+  const core::FactorizedPackingInstance min_window =
+      apps::random_factorized(generator);
+  util::tunables().set(window, saved_window);
+
+  // The cost meter tells the two sweeps apart: the plain gather charges
+  // one reduction over the rows, the segmented sweep one per window.
+  const auto transpose_depth = [&](const Csr& q) {
+    const Matrix x = random_panel(q.rows(), kBlock, 5);
+    Matrix y;
+    std::vector<Real> partial;
+    const std::uint64_t before = par::CostMeter::snapshot().depth;
+    q.apply_transpose_block(x, y, partial);
+    return par::CostMeter::snapshot().depth - before;
+  };
+  for (Index i = 0; i < whole_window.size(); ++i) {
+    const Csr& whole = whole_window[i].q();
+    const Csr& windowed = min_window[i].q();
+    ASSERT_TRUE(whole.has_segment_index());
+    ASSERT_TRUE(windowed.has_segment_index());
+    EXPECT_EQ(transpose_depth(whole), par::reduction_depth(whole.rows()));
+    EXPECT_EQ(transpose_depth(windowed), 2 * par::reduction_depth(2));
+  }
+
+  core::SketchedOracleOptions options;
+  options.eps = 0.3;
+  options.dot_options.sketch_rows_override = 8;
+  options.dot_options.taylor_degree_override = 4;
+  options.dot_options.block_size = kBlock;
+  // Weights large enough that Psi dominates exp(Psi): at small weights the
+  // identity swamps Psi, and a one-ulp change in a transpose output would
+  // not reach the dots or the trace.
+  const auto penalties = [&](const core::FactorizedPackingInstance& inst) {
+    const Vector x0(inst.size(), 32.0);
+    core::SketchedTaylorOracle oracle(inst, options);
+    core::PenaltyBatch batch;
+    oracle.compute(x0, /*round=*/1, batch);
+    return std::make_pair(batch.dots, batch.trace);
+  };
+
+  ThreadGuard guard;
+  par::set_num_threads(1);
+  const auto [ref_dots, ref_trace] = penalties(whole_window);
+  for (const int threads : {1, 4}) {
+    par::set_num_threads(threads);
+    // The trace goes through parallel_sum, whose chunk-order combine is
+    // deterministic per thread count (not across counts), so the window
+    // comparison is per count; the dots (serial per-constraint folds over
+    // the bit-identical gathers) anchor to the one-thread run.
+    const auto [dots, trace] = penalties(whole_window);
+    const auto [windowed_dots, windowed_trace] = penalties(min_window);
+    EXPECT_EQ(dots, ref_dots) << "threads " << threads;
+    EXPECT_EQ(windowed_dots, ref_dots) << "threads " << threads;
+    EXPECT_EQ(windowed_trace, trace) << "threads " << threads;
+    if (threads == 1) {
+      EXPECT_EQ(trace, ref_trace);
     }
   }
 }

@@ -47,7 +47,7 @@ PreparedInstance tiny_lp_instance(Real scale = 1) {
 
 ArtifactCache::Builder counting_builder(std::atomic<int>& builds,
                                         Real scale = 1) {
-  return [&builds, scale](const sparse::TransposePlanOptions&) {
+  return [&builds, scale] {
     builds.fetch_add(1);
     return tiny_lp_instance(scale);
   };
@@ -91,7 +91,7 @@ TEST(ArtifactCache, BuilderFailureLeavesNoEntryBehind) {
   ArtifactCache cache;
   std::atomic<int> builds{0};
   const ArtifactCache::Builder boom =
-      [](const sparse::TransposePlanOptions&) -> PreparedInstance {
+      []() -> PreparedInstance {
     throw NumericalError("builder exploded");
   };
   EXPECT_THROW(cache.get("k", boom), NumericalError);
@@ -114,7 +114,7 @@ TEST(ArtifactCache, WaiterRebuildAfterFailedBuilderEndsUpCached) {
 
   std::thread failing([&] {
     const ArtifactCache::Builder boom =
-        [&](const sparse::TransposePlanOptions&) -> PreparedInstance {
+        [&]() -> PreparedInstance {
       builder_entered.store(true);
       while (!release_builder.load()) std::this_thread::yield();
       throw NumericalError("transient failure");
@@ -212,12 +212,6 @@ TEST(ArtifactCache, WorkspacePoolReusesUpToCap) {
     EXPECT_EQ(inner.get(), nullptr);
   }
   EXPECT_NE(outer.get(), nullptr);
-}
-
-TEST(ArtifactCache, PlanOptionsRouteIntoOwnedPlanCache) {
-  ArtifactCache cache;
-  const sparse::TransposePlanOptions plan = cache.plan_options();
-  EXPECT_EQ(plan.autotune.plan_cache, &cache.plan_cache());
 }
 
 TEST(ArtifactCache, CoveringPreparationCachesNormalization) {
@@ -343,7 +337,7 @@ TEST(BatchScheduler, FailuresAreIsolatedAndCallbacksFire) {
   JobSpec bad;
   bad.instance = "bad";
   bad.kind = JobKind::kPackingLp;
-  bad.builder = [](const sparse::TransposePlanOptions&) -> PreparedInstance {
+  bad.builder = []() -> PreparedInstance {
     throw NumericalError("instance generation failed");
   };
   batch.add(std::move(bad));
@@ -367,7 +361,7 @@ TEST(BatchScheduler, FailuresAreIsolatedAndCallbacksFire) {
   JobSpec wrong;
   wrong.instance = "good";  // cached as packing-lp
   wrong.kind = JobKind::kCovering;
-  wrong.builder = [](const sparse::TransposePlanOptions&) {
+  wrong.builder = [] {
     return tiny_lp_instance();
   };
   mismatched.add(std::move(wrong));
@@ -408,12 +402,10 @@ TEST(BatchScheduler, ConcurrentLanesPrepareDistinctInstancesOnce) {
     job.instance = str("inst", i % 4);
     job.kind = JobKind::kPackingFactorized;
     job.options = loose_options();
-    job.builder = [seed, &builds](const sparse::TransposePlanOptions& plan) {
+    job.builder = [seed, &builds] {
       builds.fetch_add(1);
-      apps::FactorizedOptions options{
-          .n = 4, .m = 64, .rank = 2, .nnz_per_column = 4, .seed = seed};
-      options.plan_options = &plan;
-      return prepare_factorized(apps::random_factorized(options));
+      return prepare_factorized(apps::random_factorized(
+          {.n = 4, .m = 64, .rank = 2, .nnz_per_column = 4, .seed = seed}));
     };
     batch.add(std::move(job));
   }
@@ -479,7 +471,7 @@ TEST(BatchScheduler, ThrowingCallbackCannotKillAStreamingLane) {
     JobSpec spec;
     spec.instance = key;
     spec.kind = JobKind::kPackingLp;
-    spec.builder = [](const sparse::TransposePlanOptions&) {
+    spec.builder = [] {
       return tiny_lp_instance();
     };
     spec.on_complete = [&fired, boom = std::move(boom)](const JobResult&) {
@@ -533,7 +525,7 @@ TEST(BatchScheduler, SlotRecyclingBoundsArenaOverTenThousandJobs) {
     spec.instance = "recycle";  // one shared artifact: builds once
     spec.kind = JobKind::kPackingLp;
     spec.options.eps = 0.9;  // the job payload is irrelevant: cheapest solve
-    spec.builder = [](const sparse::TransposePlanOptions&) {
+    spec.builder = [] {
       return tiny_lp_instance();
     };
     spec.on_complete = [&completed](const JobResult&) {
@@ -591,7 +583,7 @@ TEST(BatchScheduler, QueueAndRunSecondsAreSplitAndDeadlinesEchoed) {
 ArtifactCache::Builder gated_factorized_builder(
     std::shared_ptr<const core::FactorizedPackingInstance> instance,
     std::atomic<bool>& started, std::atomic<bool>& gate) {
-  return [instance, &started, &gate](const sparse::TransposePlanOptions&) {
+  return [instance, &started, &gate] {
     started.store(true);
     while (!gate.load()) std::this_thread::yield();
     PreparedInstance prepared;
@@ -630,7 +622,7 @@ TEST(BatchScheduler, PreemptedAndPreemptingJobsBitwiseEqualSoloRuns) {
   urgent.kind = JobKind::kPackingFactorized;
   urgent.options = options;
   urgent.deadline_ms = 60 * 1000;
-  urgent.builder = [inst_urgent](const sparse::TransposePlanOptions&) {
+  urgent.builder = [inst_urgent] {
     PreparedInstance prepared;
     prepared.kind = JobKind::kPackingFactorized;
     prepared.factorized = inst_urgent;
@@ -728,7 +720,7 @@ TEST(BatchScheduler, AdmissionControlRejectsWhenQueueIsFull) {
     JobSpec spec;
     spec.instance = key;
     spec.kind = JobKind::kPackingLp;
-    spec.builder = [](const sparse::TransposePlanOptions&) {
+    spec.builder = [] {
       return tiny_lp_instance();
     };
     return spec;
@@ -779,7 +771,7 @@ TEST(BatchScheduler, AdmissionControlShedsLeastUrgentForUrgentArrival) {
     spec.instance = key;
     spec.kind = JobKind::kPackingLp;
     spec.priority = priority;
-    spec.builder = [](const sparse::TransposePlanOptions&) {
+    spec.builder = [] {
       return tiny_lp_instance();
     };
     return spec;

@@ -28,7 +28,6 @@
 #include "rand/rng.hpp"
 #include "simd/simd.hpp"
 #include "sparse/csr.hpp"
-#include "sparse/kernel_plan.hpp"
 #include "test_helpers.hpp"
 
 namespace psdp {

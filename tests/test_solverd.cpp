@@ -560,8 +560,7 @@ TEST(Solverd, GracefulStopDrainsAMidSolvePreemptedJob) {
   slow.instance = "slow";
   slow.kind = JobKind::kPackingFactorized;
   slow.options = loose_options();
-  slow.builder = [slow_instance, &started,
-                  &gate](const sparse::TransposePlanOptions&) {
+  slow.builder = [slow_instance, &started, &gate] {
     started.store(true);
     while (!gate.load()) std::this_thread::yield();
     PreparedInstance prepared;

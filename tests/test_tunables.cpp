@@ -14,7 +14,6 @@
 #include "par/parallel.hpp"
 #include "serve/artifact_cache.hpp"
 #include "serve/scheduler.hpp"
-#include "sparse/kernel_plan.hpp"
 #include "util/spsa.hpp"
 #include "util/tunables.hpp"
 
@@ -174,8 +173,8 @@ TEST(Tunables, DefaultsMatchLegacyLiterals) {
   EXPECT_EQ(core::BigDotExpOptions{}.block_size, 0);
   EXPECT_EQ(core::OptimizeOptions{}.dot_block_size, 0);
   EXPECT_EQ(core::SketchedOracleOptions{}.kappa_cap, 0);
-  EXPECT_EQ(sparse::TransposePlanOptions{}.segment_rows, 1024);
-  EXPECT_EQ(sparse::TransposePlanOptions{}.window_bytes, 1048576);
+  EXPECT_EQ(sparse::TransposeIndexOptions{}.segment_rows, 1024);
+  EXPECT_EQ(sparse::TransposeIndexOptions{}.window_bytes, 1048576);
   EXPECT_EQ(serve::SchedulerOptions{}.lanes, 0);
   EXPECT_EQ(serve::SchedulerOptions{}.wide_work, 67108864);
   EXPECT_EQ(serve::ArtifactCache::Options{}.capacity, 32u);
