@@ -1,5 +1,6 @@
 // Serve-layer throughput bench: batch scheduling vs. sequential
-// one-at-a-time solves, at the same pool width, on a heterogeneous job mix
+// one-at-a-time solves on a heterogeneous job mix, both at one pool width so
+// the throughput comparison is like for like
 // (graph covering + beamforming + dense/factorized packing + positive LP,
 // with repeated configurations per instance).
 //

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <utility>
 
 #include "linalg/power.hpp"
@@ -41,45 +40,6 @@ Index constraint_grain(const sparse::FactorizedSet& as, Index width) {
   return par::work_grain(as.size(),
                          static_cast<Real>(width * as.total_nnz()));
 }
-
-/// Shard partition threaded through the sweeps: empty (or the trivial
-/// {0, n}) means the legacy unsharded code path, byte-for-byte. More than
-/// one shard engages the deterministic mode -- the per-constraint sweep
-/// runs shard-by-shard in fixed order, and every cross-constraint
-/// floating-point reduction switches from parallel_sum (whose chunking
-/// follows the pool width) to par::deterministic_sum (fixed chunking).
-struct ShardSpan {
-  std::span<const Index> offsets;
-
-  bool deterministic() const { return offsets.size() > 2; }
-
-  /// Fold `body(k)` over [0, n): the legacy pool-width-chunked reduction in
-  /// the unsharded mode, the fixed-chunk one in deterministic mode.
-  template <typename Body>
-  Real sum(Index n, Body&& body) const {
-    return deterministic() ? par::deterministic_sum(0, n, body)
-                           : par::parallel_sum(0, n, body);
-  }
-
-  /// Run `body(i)` for every constraint of `as`, work-gated on `width`
-  /// (the sketch columns each constraint's factor is swept against: about
-  /// width x nnz(Q_i) multiply-adds). Deterministic mode issues one
-  /// parallel_for per shard, in shard order -- each constraint's work is
-  /// serial either way, so this only pins the sweep boundaries (and the
-  /// metered shape) to the partition, never the bits of dots_i themselves.
-  template <typename Body>
-  void for_each_constraint(const sparse::FactorizedSet& as, Index width,
-                           Body&& body) const {
-    const Index grain = constraint_grain(as, width);
-    if (!deterministic()) {
-      par::parallel_for(0, as.size(), body, grain);
-      return;
-    }
-    for (std::size_t k = 0; k + 1 < offsets.size(); ++k) {
-      par::parallel_for(offsets[k], offsets[k + 1], body, grain);
-    }
-  }
-};
 
 /// Rows of S = Pi * p_hat(Phi/2), stored row-major (r x m). Row j is
 /// p_hat(Phi/2)^T pi_j = p_hat(Phi/2) pi_j (Phi symmetric), one truncated-
@@ -207,7 +167,7 @@ void accumulate_dots_reference(const std::vector<Real>& s, Index dim, Index r,
 Real sketch_exp_dots_fused(const linalg::BlockOp& phi_block, Index dim,
                            Index rows, Index degree, std::uint64_t seed,
                            bool exact, Index block,
-                           const sparse::FactorizedSet& as, ShardSpan shards,
+                           const sparse::FactorizedSet& as,
                            SolverWorkspace& ws, Vector& dots) {
   std::optional<rand::GaussianSketch> pi;
   if (!exact) pi.emplace(rand::GaussianSketch::deferred(rows, dim, seed));
@@ -226,37 +186,27 @@ Real sketch_exp_dots_fused(const linalg::BlockOp& phi_block, Index dim,
     linalg::apply_exp_taylor_block(phi_block, degree, ws.x_panel, ws.y_panel,
                                    ws, kHalfScale);
     // Tr[exp(Phi)] ~ ||S||_F^2, one panel's rows at a time.
-    trace += shards.sum(dim * b, [&](Index k) {
+    trace += par::parallel_sum(0, dim * b, [&](Index k) {
       return sq(ws.y_panel.data()[static_cast<std::size_t>(k)]);
     });
-    // Per constraint: the k_i x b block Q_i^T (panel) through the dispatch
-    // seam, then the block's squared mass -- the panel's share of
-    // ||S Q_i||_F^2 -- reduces through the same seam. Factors with a
-    // transpose index gather it column by column over their entries only;
-    // the others scatter every row into a zeroed block. Both reduce each
-    // output through one chain in ascending row order, so they agree
-    // bitwise (the scalar scatter is the verbatim pre-seam loop).
+    // Per constraint: the k_i x b block Q_i^T (panel), gathered column by
+    // column over the factor's transpose index (every factor has one),
+    // then the block's squared mass -- the panel's share of ||S Q_i||_F^2.
+    // Each output is one chain in ascending row order, so the block is
+    // bitwise the serial row scatter's.
     const simd::KernelTable& kt = simd::active_kernels();
-    shards.for_each_constraint(as, b, [&](Index i) {
+    par::parallel_for(0, as.size(), [&](Index i) {
       const sparse::Csr& q = as[i].q();
       const Index k = q.cols();
       std::vector<Real>& acc = ws.accumulators[static_cast<std::size_t>(i)];
-      if (q.has_transpose_index()) {
-        acc.resize(static_cast<std::size_t>(k * b));
-        kt.gather_panel(q.transpose_offsets().data(),
-                        q.transpose_rows().data(),
-                        q.transpose_values().data(), 0, k, b,
-                        ws.y_panel.data(), acc.data());
-      } else {
-        acc.assign(static_cast<std::size_t>(k * b), 0.0);
-        kt.scatter_rows(q.row_offsets().data(), q.col_indices().data(),
-                        q.values().data(), 0, q.rows(), b, ws.y_panel.data(),
-                        acc.data());
-      }
+      acc.resize(static_cast<std::size_t>(k * b));
+      kt.gather_panel(q.transpose_offsets().data(), q.transpose_rows().data(),
+                      q.transpose_values().data(), 0, k, b, ws.y_panel.data(),
+                      acc.data());
       dots[i] += kt.sum_sq(acc.data(), k * b);
       par::CostMeter::add_work(
           static_cast<std::uint64_t>(b * (2 * q.nnz() + 2 * k)));
-    });
+    }, constraint_grain(as, b));
     // Critical path of this panel beyond the Taylor sweep (which charges
     // its own depth): the trace reduction and the constraint sweep both
     // finish before the next panel starts, so they stack across the
@@ -281,7 +231,7 @@ Real sketch_exp_dots_fused(const linalg::BlockOp& phi_block, Index dim,
 Real sketch_exp_dots_fused_f(const linalg::BlockOpF& phi_block_f, Index dim,
                              Index rows, Index degree, std::uint64_t seed,
                              bool exact, Index block,
-                             const sparse::FactorizedSet& as, ShardSpan shards,
+                             const sparse::FactorizedSet& as,
                              SolverWorkspace& ws, Vector& dots) {
   std::optional<rand::GaussianSketch> pi;
   if (!exact) pi.emplace(rand::GaussianSketch::deferred(rows, dim, seed));
@@ -301,33 +251,25 @@ Real sketch_exp_dots_fused_f(const linalg::BlockOpF& phi_block_f, Index dim,
     linalg::apply_exp_taylor_block_f(phi_block_f, degree, ws.x_panel_f,
                                      ws.y_panel_f, ws.taylor_f,
                                      static_cast<float>(kHalfScale));
-    // sum_sq_f is a serial compensated double sum -- already independent of
-    // the pool width -- so the trace needs no deterministic variant here.
+    // sum_sq_f is a serial compensated double sum, independent of the
+    // thread count.
     trace += kt.sum_sq_f(ws.y_panel_f.data(), dim * b);
-    shards.for_each_constraint(as, b, [&](Index i) {
+    par::parallel_for(0, as.size(), [&](Index i) {
       const sparse::Csr& q = as[i].q();
       const Index k = q.cols();
       const auto& fv =
           ws.factor.float_values[static_cast<std::size_t>(i)];
       std::vector<float>& acc =
           ws.accumulators_f[static_cast<std::size_t>(i)];
-      // The double path's gather-or-scatter choice, over float values (a
-      // float CSC copy exists exactly when the index did at its build).
-      if (!fv.t_values.empty()) {
-        acc.resize(static_cast<std::size_t>(k * b));
-        kt.gather_panel_f(q.transpose_offsets().data(),
-                          q.transpose_rows().data(), fv.t_values.data(), 0,
-                          k, b, ws.y_panel_f.data(), acc.data());
-      } else {
-        acc.assign(static_cast<std::size_t>(k * b), 0.0f);
-        kt.scatter_rows_f(q.row_offsets().data(), q.col_indices().data(),
-                          fv.values.data(), 0, q.rows(), b,
-                          ws.y_panel_f.data(), acc.data());
-      }
+      // The double path's gather, over the float CSC values.
+      acc.resize(static_cast<std::size_t>(k * b));
+      kt.gather_panel_f(q.transpose_offsets().data(),
+                        q.transpose_rows().data(), fv.t_values.data(), 0, k,
+                        b, ws.y_panel_f.data(), acc.data());
       dots[i] += kt.sum_sq_f(acc.data(), k * b);
       par::CostMeter::add_work(
           static_cast<std::uint64_t>(b * (2 * q.nnz() + 2 * k)));
-    });
+    }, constraint_grain(as, b));
     // Same model costs as the double path: precision changes constants,
     // not the metered work/depth shape.
     par::CostMeter::add_work(static_cast<std::uint64_t>(2 * dim * b));
@@ -371,15 +313,14 @@ void accumulate_dots_blocked(const std::vector<Real>& st, Index r,
   }, constraint_grain(as, r));
 }
 
-/// Shared implementation of the two workspace-form entry points. An empty
-/// (or single-shard) `shards` runs the pre-sharding code byte-for-byte;
-/// K > 1 pins every cross-constraint reduction order (see ShardSpan).
-void big_dot_exp_impl(const linalg::SymmetricOp& phi,
-                      const linalg::BlockOp& phi_block, Index dim, Real kappa,
-                      const sparse::FactorizedSet& as, ShardSpan shards,
-                      const BigDotExpOptions& options,
-                      SolverWorkspace& workspace, BigDotExpResult& result,
-                      const linalg::BlockOpF* phi_block_f) {
+}  // namespace
+
+void big_dot_exp(const linalg::SymmetricOp& phi,
+                 const linalg::BlockOp& phi_block, Index dim, Real kappa,
+                 const sparse::FactorizedSet& as,
+                 const BigDotExpOptions& options, SolverWorkspace& workspace,
+                 BigDotExpResult& result,
+                 const linalg::BlockOpF* phi_block_f) {
   PSDP_CHECK(dim >= 1, "big_dot_exp: dimension must be positive");
   PSDP_CHECK(as.dim() == dim, "big_dot_exp: constraint dimension mismatch");
   PSDP_CHECK(kappa >= 0, "big_dot_exp: kappa must be non-negative");
@@ -439,11 +380,10 @@ void big_dot_exp_impl(const linalg::SymmetricOp& phi,
     // Reference path: r independent Taylor matvec chains, r x m layout.
     const std::vector<Real> s = sketch_times_exp_half(
         phi, dim, r, result.taylor_degree, options.seed, result.exact_sketch);
-    // Tr[exp(Phi)] = ||exp(Phi/2)||_F^2 ~ ||S||_F^2. (The reference dots
-    // sweep below writes each dots_i from serial per-constraint work, so
-    // this trace reduction is the path's only pool-width-sensitive fold.)
-    result.trace_exp = shards.sum(
-        r * dim, [&](Index k) { return sq(s[static_cast<std::size_t>(k)]); });
+    // Tr[exp(Phi)] = ||exp(Phi/2)||_F^2 ~ ||S||_F^2.
+    result.trace_exp = par::parallel_sum(0, r * dim, [&](Index k) {
+      return sq(s[static_cast<std::size_t>(k)]);
+    });
     accumulate_dots_reference(s, dim, r, as, result.dots);
     // Critical path of the r concurrent Taylor chains: one chain of k-1
     // matvecs (worker-side depth charges are dropped by the meter; the
@@ -459,19 +399,20 @@ void big_dot_exp_impl(const linalg::SymmetricOp& phi,
     if (float_panels) {
       result.trace_exp = sketch_exp_dots_fused_f(
           *phi_block_f, dim, r, result.taylor_degree, options.seed,
-          result.exact_sketch, block, as, shards, workspace, result.dots);
+          result.exact_sketch, block, as, workspace, result.dots);
     } else {
       result.trace_exp = sketch_exp_dots_fused(
           phi_block, dim, r, result.taylor_degree, options.seed,
-          result.exact_sketch, block, as, shards, workspace, result.dots);
+          result.exact_sketch, block, as, workspace, result.dots);
     }
   } else {
     // Blocked path: panels of `block` sketch rows share each Phi traversal.
     const std::vector<Real> st = sketch_times_exp_half_blocked(
         phi_block, dim, r, result.taylor_degree, options.seed,
         result.exact_sketch, block, workspace);
-    result.trace_exp = shards.sum(
-        r * dim, [&](Index k) { return sq(st[static_cast<std::size_t>(k)]); });
+    result.trace_exp = par::parallel_sum(0, r * dim, [&](Index k) {
+      return sq(st[static_cast<std::size_t>(k)]);
+    });
     accumulate_dots_blocked(st, r, as, result.dots);
   }
 
@@ -487,29 +428,14 @@ void big_dot_exp_impl(const linalg::SymmetricOp& phi,
   }
 }
 
-}  // namespace
-
-void big_dot_exp(const linalg::SymmetricOp& phi,
-                 const linalg::BlockOp& phi_block, Index dim, Real kappa,
-                 const sparse::FactorizedSet& as,
-                 const BigDotExpOptions& options, SolverWorkspace& workspace,
-                 BigDotExpResult& result,
-                 const linalg::BlockOpF* phi_block_f) {
-  big_dot_exp_impl(phi, phi_block, dim, kappa, as, ShardSpan{}, options,
-                   workspace, result, phi_block_f);
-}
-
 void big_dot_exp(const linalg::SymmetricOp& phi,
                  const linalg::BlockOp& phi_block, Index dim, Real kappa,
                  const sparse::ShardedFactorizedSet& as,
                  const BigDotExpOptions& options, SolverWorkspace& workspace,
                  BigDotExpResult& result,
                  const linalg::BlockOpF* phi_block_f) {
-  // A single-shard partition hands ShardSpan the trivial {0, n} offsets,
-  // which it treats as "no partition" -- the legacy path, bit-identical.
-  big_dot_exp_impl(phi, phi_block, dim, kappa, as.set(),
-                   ShardSpan{as.shard_offsets()}, options, workspace, result,
-                   phi_block_f);
+  big_dot_exp(phi, phi_block, dim, kappa, as.set(), options, workspace,
+              result, phi_block_f);
 }
 
 BigDotExpResult big_dot_exp(const linalg::SymmetricOp& phi,

@@ -187,15 +187,10 @@ void big_dot_exp(const linalg::SymmetricOp& phi,
                  BigDotExpResult& result,
                  const linalg::BlockOpF* phi_block_f = nullptr);
 
-/// Sharded workspace form: the constraint set arrives with its shard
-/// partition. With one shard this is byte-for-byte the unsharded call
-/// above (same code path, locked by tests). With K > 1 shards the fused
-/// per-constraint dots sweep runs shard-by-shard in fixed order 0..K-1 and
-/// every cross-constraint reduction -- each panel's trace share included --
-/// switches to thread-count-independent fixed-chunk summation
-/// (par::deterministic_sum), so the result bits depend on the instance and
-/// K but never on the pool width. SketchedTaylorOracle routes here whenever
-/// its instance is sharded.
+/// Sharded workspace form: forwards as.set() to the call above. The shard
+/// partition changes no bit -- every reduction folds over fixed pieces
+/// (par::parallel_sum) -- so the results depend on the instance and the
+/// options, never on K or the thread count.
 void big_dot_exp(const linalg::SymmetricOp& phi,
                  const linalg::BlockOp& phi_block, Index dim, Real kappa,
                  const sparse::ShardedFactorizedSet& as,

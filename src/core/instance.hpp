@@ -63,20 +63,16 @@ class PackingInstance {
 };
 
 /// Normalized packing instance in factorized form. Always carries a shard
-/// partition of its constraints (sparse::ShardedFactorizedSet); the
-/// single-shard default is the unsharded legacy path, bit-identical to the
-/// pre-sharding library. Solvers reach the sharding through the oracle
-/// seam -- SketchedTaylorOracle reads sharded() and engages the per-shard
-/// deterministic sweeps when shard_count() > 1.
+/// partition of its constraints (sparse::ShardedFactorizedSet), one shard
+/// by default. The partition changes no result bit: solvers compute the
+/// same values at every shard count.
 class FactorizedPackingInstance {
  public:
   FactorizedPackingInstance() = default;
-  /// Single-shard wrap (the legacy constructor every existing call site
-  /// uses; nothing about the set changes).
+  /// Single-shard wrap (nothing about the set changes).
   explicit FactorizedPackingInstance(sparse::FactorizedSet constraints);
   /// Partition into `shards` nnz-balanced constraint shards (see
-  /// ShardedFactorizedSet; shards > 1 forces transpose indexes for the
-  /// determinism contract).
+  /// ShardedFactorizedSet).
   FactorizedPackingInstance(sparse::FactorizedSet constraints, Index shards);
   /// Adopt an already-partitioned set (the chunked loader's path).
   explicit FactorizedPackingInstance(sparse::ShardedFactorizedSet constraints);

@@ -158,41 +158,14 @@ void SketchedTaylorOracle::sync_bounds(const Vector& x) {
   // so drift never accumulates past a few rounds' worth of rounding.
   if (++rounds_since_rebase_ >= rebase_interval_ || trace_psi_ < 0 ||
       lambda_bound_ < 0 || bound_flux_ > bound_flux_ratio_ * trace_psi_) {
-    const sparse::ShardedFactorizedSet& sharded = instance_->sharded();
-    if (sharded.shard_count() > 1) {
-      // Sharded rebase: each shard folds its constraints serially (in
-      // parallel across shards), then the partials merge in shard order --
-      // a fixed-order reduction whose bits depend on the partition, never
-      // the pool width, matching the sharded dots sweep's contract. The
-      // K = 1 branch below is the verbatim legacy loop (bit-identity).
-      const Index k_shards = sharded.shard_count();
-      shard_trace_partial_.assign(static_cast<std::size_t>(k_shards), 0);
-      shard_lambda_partial_.assign(static_cast<std::size_t>(k_shards), 0);
-      par::parallel_for(0, k_shards, [&](Index k) {
-        Real trace_part = 0;
-        Real lambda_part = 0;
-        for (Index i = sharded.shard_begin(k); i < sharded.shard_end(k);
-             ++i) {
-          trace_part += x_work_[i] * instance_->constraint_trace(i);
-          lambda_part += x_work_[i] * (*instance_)[i].lambda_max_bound();
-        }
-        shard_trace_partial_[static_cast<std::size_t>(k)] = trace_part;
-        shard_lambda_partial_[static_cast<std::size_t>(k)] = lambda_part;
-      }, par::work_grain(k_shards, static_cast<Real>(2 * size())));
-      trace_psi_ = 0;
-      lambda_bound_ = 0;
-      for (Index k = 0; k < k_shards; ++k) {
-        trace_psi_ += shard_trace_partial_[static_cast<std::size_t>(k)];
-        lambda_bound_ += shard_lambda_partial_[static_cast<std::size_t>(k)];
-      }
-    } else {
-      trace_psi_ = 0;
-      lambda_bound_ = 0;
-      for (Index i = 0; i < size(); ++i) {
-        trace_psi_ += x_work_[i] * instance_->constraint_trace(i);
-        lambda_bound_ += x_work_[i] * (*instance_)[i].lambda_max_bound();
-      }
-    }
+    // Two fixed-piece folds: the bits never depend on K or the thread
+    // count.
+    trace_psi_ = par::parallel_sum(0, size(), [&](Index i) {
+      return x_work_[i] * instance_->constraint_trace(i);
+    });
+    lambda_bound_ = par::parallel_sum(0, size(), [&](Index i) {
+      return x_work_[i] * (*instance_)[i].lambda_max_bound();
+    });
     bound_flux_ = trace_psi_;
     rounds_since_rebase_ = 0;
   }
@@ -216,8 +189,6 @@ void SketchedTaylorOracle::compute(const Vector& x, std::uint64_t round,
   // Fresh sketch per round: independent noise, per the union bound.
   BigDotExpOptions round_options = dot_options_;
   round_options.seed = rand::stream_seed(dot_options_.seed, round);
-  // Routed through the sharded overload: one shard is byte-for-byte the
-  // legacy path; K > 1 engages the deterministic per-shard sweeps.
   big_dot_exp(psi_op_, psi_block_op_, dim(), kappa, instance_->sharded(),
               round_options, *workspace_, result_, &psi_block_op_f_);
   // Hand the caller the fresh dots by swapping storage: the batch keeps a

@@ -222,13 +222,6 @@ class SketchedTaylorOracle final : public PenaltyOracle {
   /// mid-trajectory even if the registry changes under it.
   Index rebase_interval_ = 64;
   Real bound_flux_ratio_ = 8;
-  /// Per-shard partials of the rebase's from-scratch bound sums (K > 1
-  /// only): each shard folds serially, the partials merge in shard order
-  /// 0..K-1, so the rebased bounds are a fixed-order reduction regardless
-  /// of pool width. Members so the occasional rebase stays allocation-free
-  /// once warm.
-  std::vector<Real> shard_trace_partial_;
-  std::vector<Real> shard_lambda_partial_;
   /// Sketch/Taylor scratch recycled across rounds; external when the caller
   /// provided SketchedOracleOptions::workspace.
   SolverWorkspace own_workspace_;

@@ -13,8 +13,9 @@
 // completion on this thread (cooperative preemption), or flip the
 // thread-local par::regions_inlined() flag so subsequent rounds run their
 // parallel regions at full pool width (dynamic lane widening). It must NOT
-// change par::num_threads() -- loop partitioning (and therefore every
-// solver's bit pattern) depends on it.
+// change par::num_threads(): the loops other jobs have in flight size their
+// partitions from it. No bit depends on it -- reductions fold over fixed
+// pieces and every other loop writes disjoint outputs.
 //
 // Determinism: a yield reorders which *job* runs when, never the bits a
 // job computes. The parked solve's state lives in its own SolverState /

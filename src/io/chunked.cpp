@@ -345,7 +345,7 @@ core::FactorizedPackingInstance ChunkedInstanceReader::load_all(
   }
   if (shards > 0) {
     // Caller-requested partition: re-cut instead of keeping the file's
-    // boundaries (shards = 1 collapses to the legacy unsharded instance).
+    // boundaries (shards = 1 collapses to a single shard).
     return core::FactorizedPackingInstance(
         sparse::FactorizedSet(std::move(items)), shards);
   }

@@ -102,16 +102,15 @@ class ChunkedInstanceReader {
   /// True when the mmap backend is active (false = buffered reads).
   bool mapped() const { return map_base_ != nullptr; }
 
-  /// Parse shard k's constraints (transpose indexes built per the usual
-  /// aspect gate; the sharded set forces the rest when K > 1).
+  /// Parse shard k's constraints (each factor's transpose index built as
+  /// it is constructed).
   std::vector<sparse::FactorizedPsd> load_shard(Index k) const;
 
   /// Load every shard in order and assemble the instance around the stored
-  /// shard boundaries (a file with one shard yields the legacy unsharded
-  /// instance, bit-identical to the text-format loader's output for the
-  /// same data). `shards` > 0 overrides the stored partition: the
-  /// constraints are re-cut into that many nnz-balanced shards (1 = force
-  /// the legacy unsharded instance).
+  /// shard boundaries (a file with one shard yields the text-format
+  /// loader's instance for the same data). `shards` > 0 overrides the
+  /// stored partition: the constraints are re-cut into that many
+  /// nnz-balanced shards (1 = a single shard).
   core::FactorizedPackingInstance load_all(Index shards = 0) const;
 
  private:

@@ -34,11 +34,11 @@ void write_covering(std::ostream& out, const core::CoveringProblem& problem);
 void write_lp(std::ostream& out, const core::PackingLp& lp);
 
 /// Readers; throw InvalidArgument on malformed input. The factorized reader
-/// builds each factor's transpose index (tall factors) as it loads.
+/// builds each factor's transpose index as it loads.
 core::PackingInstance read_packing(std::istream& in);
 /// `shards` > 1 cuts the loaded constraints into that many nnz-balanced
-/// contiguous partitions (the out-of-core oracle sweep granularity); 0 or 1
-/// keeps the legacy unsharded instance.
+/// contiguous partitions (the chunked format's shard blocks); 0 or 1 keeps
+/// a single shard.
 core::FactorizedPackingInstance read_factorized(std::istream& in,
                                                 Index shards = 0);
 core::CoveringProblem read_covering(std::istream& in);

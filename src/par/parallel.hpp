@@ -2,18 +2,18 @@
 //
 //   par::parallel_for(0, m, [&](Index i) { ... });          // by element
 //   par::parallel_for_chunked(0, m, [&](Index b, Index e)); // by chunk
-//   Real s = par::parallel_reduce(0, m, 0.0,
-//       [&](Index i) { return f(i); }, std::plus<>{});
+//   Real s = par::parallel_sum(0, m, [&](Index i) { return f(i); });
 //
 // The sparse, Taylor and per-constraint kernel loops are work-gated: they
 // pass par::work_grain(elements, estimated total work) as their grain, so
 // a loop fans out only once each chunk carries kMinChunkWork units of work.
-// Reductions keep their own partitions (see parallel_reduce and
-// deterministic_sum): their chunk count fixes the summation order.
+// Reductions fold over fixed kDeterministicSumChunk-length pieces, so
+// their summation order -- and every bit of a result -- never depends on
+// the thread count.
 //
 // Thread count is process-global and settable at runtime (benches sweep it).
-// Setting it to 1 executes everything inline with no pool interaction, which
-// is the deterministic baseline for the scaling experiments.
+// Setting it to 1 executes everything inline with no pool interaction; the
+// results are the same bits at every setting.
 //
 // The loops are allocation-free in the steady state: bodies reach the pool
 // as non-owning TaskRef (no std::function), and reductions recycle a
@@ -24,8 +24,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
-#include <numeric>
+#include <limits>
 #include <vector>
 
 #include "par/thread_pool.hpp"
@@ -53,10 +52,10 @@ inline constexpr Index kDefaultGrain = 1024;
 
 /// The grain parallel loops use when the caller does not pass one: the
 /// `grain` tunable (default kDefaultGrain). One relaxed atomic load per
-/// loop launch -- noise next to the fork-join itself. Note a tuned grain
-/// changes chunk boundaries and hence reduction summation order, which is
-/// why `grain` is excluded from the default SPSA knob set: bit-identity
-/// under untouched defaults is the guarantee, not under arbitrary tuning.
+/// loop launch -- noise next to the fork-join itself. The grain moves only
+/// the chunk boundaries of loops whose outputs are disjoint per element
+/// (reductions fold over their own fixed pieces), so no setting of it
+/// changes a bit.
 inline Index default_grain() { return util::tunable_grain(); }
 
 /// The work gate of the kernel loops: the least estimated work one chunk
@@ -119,105 +118,47 @@ void parallel_for(Index begin, Index end, Body&& body,
       grain);
 }
 
+/// Length of the fixed pieces every reduction folds over: long enough that
+/// the serial per-piece sweeps dominate the fork-join, short enough that a
+/// panel-sized range (dim x block) still fans out over the pool.
+inline constexpr Index kDeterministicSumChunk = 16384;
+
 namespace detail {
-/// Reusable per-thread partials for parallel_reduce: nested parallel regions
-/// run inline on their worker, so at most one reduction per thread uses its
-/// scratch at a time; the busy flag falls back to a local buffer in the
-/// (unused today) re-entrant case. One buffer per value type T.
-template <typename T>
-std::vector<T>& reduce_scratch() {
-  static thread_local std::vector<T> scratch;
+/// Reusable per-thread piece partials: nested parallel regions run inline
+/// on their worker, so at most one reduction per thread uses its scratch at
+/// a time; the busy flag falls back to a local buffer in the (unused today)
+/// re-entrant case.
+inline std::vector<Real>& reduce_scratch() {
+  static thread_local std::vector<Real> scratch;
   return scratch;
 }
-template <typename T>
-bool& reduce_scratch_busy() {
+inline bool& reduce_scratch_busy() {
   static thread_local bool busy = false;
   return busy;
 }
-}  // namespace detail
 
-/// Parallel map-reduce: combines body(i) over [begin, end) with `combine`,
-/// starting from `init` (which must be the identity of `combine`).
-/// Deterministic for a fixed thread count: per-chunk partials are combined
-/// in chunk order on the calling thread.
-template <typename T, typename Body, typename Combine>
-T parallel_reduce(Index begin, Index end, T init, Body&& body,
-                  Combine&& combine, Index grain = default_grain()) {
-  if (end <= begin) return init;
-  const Index n = end - begin;
-  const Index max_chunks = std::max<Index>(1, num_threads());
-  const Index chunks = std::clamp<Index>((n + grain - 1) / grain, 1, max_chunks);
-  if (chunks == 1) {
-    T acc = init;
-    for (Index i = begin; i < end; ++i) acc = combine(acc, body(i));
-    return acc;
-  }
-  bool& busy = detail::reduce_scratch_busy<T>();
-  std::vector<T> local;
-  const bool use_scratch = !busy;
-  std::vector<T>& partial = use_scratch ? detail::reduce_scratch<T>() : local;
-  if (use_scratch) busy = true;
-  struct BusyReset {
-    bool* flag;
-    bool owned;
-    ~BusyReset() {
-      if (owned) *flag = false;
-    }
-  } busy_reset{&busy, use_scratch};
-  partial.assign(static_cast<std::size_t>(chunks), init);
-  const Index chunk_size = (n + chunks - 1) / chunks;
-  const auto task = [&](Index c) {
-    const Index b = begin + c * chunk_size;
-    const Index e = std::min(end, b + chunk_size);
-    T acc = init;
-    for (Index i = b; i < e; ++i) acc = combine(acc, body(i));
-    partial[static_cast<std::size_t>(c)] = acc;
-  };
-  global_pool().run_batch(chunks, task);
-  T acc = init;
-  for (const T& p : partial) acc = combine(acc, p);
-  return acc;
-}
-
-/// Common case: parallel sum of body(i).
-template <typename Body>
-Real parallel_sum(Index begin, Index end, Body&& body,
-                  Index grain = default_grain()) {
-  return parallel_reduce(begin, end, Real{0},
-                         std::forward<Body>(body), std::plus<Real>{}, grain);
-}
-
-/// Default chunk length of deterministic_sum: long enough that the serial
-/// per-chunk sweeps dominate the fork-join, short enough that a panel-sized
-/// range (dim x block) still fans out over the pool.
-inline constexpr Index kDeterministicSumChunk = 16384;
-
-/// Thread-count-independent parallel sum: the range is cut into fixed
-/// `chunk`-length pieces (the partition depends only on the range and the
-/// chunk length, never on num_threads()), each piece is summed serially in
+/// Fold body(i) over [begin, end) with `combine`, starting from `init`
+/// (the identity of `combine`): the range is cut into fixed
+/// kDeterministicSumChunk-length pieces, each piece is folded serially in
 /// index order on whichever worker picks it up, and the per-piece partials
-/// are combined serially in piece order on the calling thread. Bitwise
-/// deterministic across thread counts -- the reduction the K>1 sharded
-/// sweeps use where parallel_sum's num_threads()-shaped chunking would make
-/// the bits a function of the pool width. Reuses parallel_reduce's
-/// per-thread partials scratch, so steady-state calls allocate nothing.
-template <typename Body>
-Real deterministic_sum(Index begin, Index end, Body&& body,
-                       Index chunk = kDeterministicSumChunk) {
-  if (end <= begin) return 0;
-  PSDP_CHECK(chunk >= 1, "deterministic_sum: chunk must be positive");
-  const Index n = end - begin;
-  const Index pieces = (n + chunk - 1) / chunk;
-  if (pieces == 1) {
-    Real acc = 0;
-    for (Index i = begin; i < end; ++i) acc += body(i);
+/// are combined serially in piece order on the calling thread. The pieces
+/// depend only on the range, never on num_threads(), so the result is
+/// bitwise the same at every thread count.
+template <typename Body, typename Combine>
+Real fold_pieces(Index begin, Index end, Real init, Body& body,
+                 Combine combine) {
+  const auto fold = [&](Index b, Index e) {
+    Real acc = init;
+    for (Index i = b; i < e; ++i) acc = combine(acc, body(i));
     return acc;
-  }
-  bool& busy = detail::reduce_scratch_busy<Real>();
+  };
+  const Index pieces =
+      (end - begin + kDeterministicSumChunk - 1) / kDeterministicSumChunk;
+  if (pieces <= 1) return fold(begin, end);
+  bool& busy = reduce_scratch_busy();
   std::vector<Real> local;
   const bool use_scratch = !busy;
-  std::vector<Real>& partial =
-      use_scratch ? detail::reduce_scratch<Real>() : local;
+  std::vector<Real>& partial = use_scratch ? reduce_scratch() : local;
   if (use_scratch) busy = true;
   struct BusyReset {
     bool* flag;
@@ -226,28 +167,35 @@ Real deterministic_sum(Index begin, Index end, Body&& body,
       if (owned) *flag = false;
     }
   } busy_reset{&busy, use_scratch};
-  partial.assign(static_cast<std::size_t>(pieces), Real{0});
+  partial.assign(static_cast<std::size_t>(pieces), init);
   parallel_for(0, pieces, [&](Index c) {
-    const Index b = begin + c * chunk;
-    const Index e = std::min(end, b + chunk);
-    Real acc = 0;
-    for (Index i = b; i < e; ++i) acc += body(i);
-    partial[static_cast<std::size_t>(c)] = acc;
+    const Index b = begin + c * kDeterministicSumChunk;
+    partial[static_cast<std::size_t>(c)] =
+        fold(b, std::min(end, b + kDeterministicSumChunk));
   }, /*grain=*/1);
-  Real acc = 0;
-  for (const Real p : partial) acc += p;
+  Real acc = init;
+  for (const Real p : partial) acc = combine(acc, p);
   return acc;
 }
+}  // namespace detail
 
-/// Parallel max of body(i) over a non-empty range.
+/// Parallel sum of body(i) over [begin, end) (0 when empty), folded over
+/// fixed pieces (detail::fold_pieces): bitwise independent of the thread
+/// count. Steady-state calls allocate nothing.
 template <typename Body>
-Real parallel_max(Index begin, Index end, Body&& body,
-                  Index grain = default_grain()) {
+Real parallel_sum(Index begin, Index end, Body&& body) {
+  return detail::fold_pieces(begin, end, Real{0}, body,
+                             [](Real a, Real b) { return a + b; });
+}
+
+/// Parallel max of body(i) over a non-empty range, folded over the same
+/// fixed pieces as parallel_sum.
+template <typename Body>
+Real parallel_max(Index begin, Index end, Body&& body) {
   PSDP_CHECK(end > begin, "parallel_max over empty range");
-  return parallel_reduce(
-      begin, end, -std::numeric_limits<Real>::infinity(),
-      std::forward<Body>(body),
-      [](Real a, Real b) { return a > b ? a : b; }, grain);
+  return detail::fold_pieces(begin, end,
+                             -std::numeric_limits<Real>::infinity(), body,
+                             [](Real a, Real b) { return a > b ? a : b; });
 }
 
 }  // namespace psdp::par

@@ -60,8 +60,9 @@ class TaskRef {
 /// lanes run under this flag so a whole solve occupies one thread; clearing
 /// it mid-solve (at an oracle-round boundary) re-routes subsequent regions
 /// to the shared pool at full width. Results are unaffected either way:
-/// loop partitioning and reduce combine order depend only on the global
-/// par::num_threads(), never on which thread executes a chunk.
+/// reductions fold over fixed pieces and every other loop writes disjoint
+/// outputs, so no bit depends on the thread count or on which thread
+/// executes a chunk.
 bool regions_inlined();
 void set_regions_inlined(bool inlined);
 

@@ -176,8 +176,8 @@ struct BatchScheduler::Slot {
 ///   3. promote to full pool width while the queue is empty and no wide
 ///      job holds the gang token.
 ///
-/// None of this can change the parked or the borrowed job's bits: loop
-/// partitioning depends only on the global par::num_threads().
+/// None of this can change the parked or the borrowed job's bits: no
+/// result bit depends on where or how wide a region runs.
 class BatchScheduler::LaneYield final : public core::YieldPoint {
  public:
   LaneYield(BatchScheduler* scheduler, Slot* slot, int lane, int depth)

@@ -34,12 +34,12 @@
 //     (AdmissionPolicy); either outcome is recorded in JobResult::shed.
 //
 // Determinism: all of the above reorders which job runs when and *where*
-// its regions execute -- never the bits a job computes. Loop partitioning
-// (and parallel_reduce's chunk-order combine) depends only on the global
-// par::num_threads(), so a job's results are bitwise identical to a solo
-// run at the same pool width whether it ran inline on a lane, promoted to
-// full width mid-solve, or was preempted between rounds (verified by
-// bench_serve, bench_load and tests/test_serve.cpp).
+// its regions execute -- never the bits a job computes. Reductions fold
+// over fixed pieces and every other loop writes disjoint outputs, so a
+// job's results are bitwise identical to a solo run at any thread count,
+// whether it ran inline on a lane, promoted to full width mid-solve, or
+// was preempted between rounds (verified by bench_serve, bench_load and
+// tests/test_serve.cpp).
 //
 // Artifacts are shared through the ArtifactCache (artifact_cache.hpp); a
 // job that throws reports through JobResult::error and the batch always

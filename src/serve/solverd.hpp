@@ -24,8 +24,8 @@
 // Result lines cross the wire with every Real as its 16-hex-digit IEEE-754
 // bit pattern (util/wire.hpp), so a decoded JobResult compares bitwise
 // equal (payload_bitwise_equal) to an in-process solve of the same
-// instance at the same pool width -- the identity gate bench_load
-// --endpoint enforces against the daemon.
+// instance at any thread count -- the identity gate bench_load --endpoint
+// enforces against the daemon.
 #pragma once
 
 #include <atomic>

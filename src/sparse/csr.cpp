@@ -167,7 +167,7 @@ void Csr::build_transpose_index(const TransposeIndexOptions& options) {
   t_values_.resize(values_.size());
   // Counting sort by column; scanning rows in order makes the rows within
   // each column ascending, which is what pins the gather's accumulation
-  // order to the owned-column sweep's (bitwise agreement).
+  // order to the row scatter's (bitwise agreement).
   for (const Index c : columns_) ++t_offsets_[static_cast<std::size_t>(c) + 1];
   for (Index j = 0; j < cols_; ++j) {
     t_offsets_[static_cast<std::size_t>(j) + 1] +=
@@ -275,19 +275,32 @@ void Csr::apply_block(const Matrix& x, Matrix& y) const {
 }
 
 void Csr::apply_transpose_block(const Matrix& x, Matrix& y) const {
-  std::vector<Real> partial;
-  apply_transpose_block(x, y, partial);
+  if (has_segment_index()) {
+    apply_transpose_block_segmented(x, y);
+  } else if (t_built_) {
+    apply_transpose_block_indexed(x, y);
+  } else {
+    PSDP_CHECK(x.rows() == rows_,
+               "csr apply_transpose_block: dimension mismatch");
+    const Index b = x.cols();
+    PSDP_CHECK(b >= 1, "csr apply_transpose_block: panel must have at least "
+                       "one column");
+    // No index: one serial scatter over every row -- each output folds its
+    // column's entries in ascending row order, the gather's chain, so the
+    // two agree bitwise at any thread count.
+    y.reshape(cols_, b);
+    y.fill(0);
+    simd::active_kernels().scatter_rows(offsets_.data(), columns_.data(),
+                                        values_.data(), 0, rows_, b, x.data(),
+                                        y.data());
+    par::CostMeter::add_work(static_cast<std::uint64_t>(2 * nnz() * b));
+    par::CostMeter::add_depth(par::reduction_depth(rows_));
+  }
 }
 
 void Csr::apply_transpose_block(const Matrix& x, Matrix& y,
-                                std::vector<Real>& partial) const {
-  if (!t_built_) {
-    apply_transpose_block_owned(x, y, partial);
-  } else if (has_segment_index()) {
-    apply_transpose_block_segmented(x, y);
-  } else {
-    apply_transpose_block_indexed(x, y);
-  }
+                                std::vector<Real>& /*partial*/) const {
+  apply_transpose_block(x, y);
 }
 
 KernelPlan Csr::kernel_plan() const {
@@ -309,48 +322,6 @@ const char* kernel_name(TransposeKernel kernel) {
 }
 
 void clear_transpose_plan_cache() {}
-
-void Csr::apply_transpose_block_owned(const Matrix& x, Matrix& y,
-                                      std::vector<Real>& partial) const {
-  PSDP_CHECK(x.rows() == rows_, "csr apply_transpose_block: dimension mismatch");
-  const Index b = x.cols();
-  PSDP_CHECK(b >= 1,
-             "csr apply_transpose_block: panel must have at least one column");
-  y.reshape(cols_, b);
-  // Parallel over *row* chunks -- the panels come from factors Q_i whose
-  // column count is often tiny, so column ownership would serialize. Each
-  // chunk scatters into its own cols_ x b accumulator; the partials are
-  // combined in chunk order on the calling thread, which keeps the result
-  // deterministic for a fixed thread count.
-  const Index grain = std::max<Index>(1, 256 / b);
-  const Index max_chunks = std::max<Index>(1, par::num_threads());
-  const Index chunks =
-      std::clamp<Index>((rows_ + grain - 1) / grain, 1, max_chunks);
-  const simd::KernelTable& kt = simd::active_kernels();
-  const auto scatter_rows = [&](Index begin, Index end, Real* out) {
-    kt.scatter_rows(offsets_.data(), columns_.data(), values_.data(), begin,
-                    end, b, x.data(), out);
-  };
-  if (chunks == 1) {
-    y.fill(0);
-    scatter_rows(0, rows_, y.data());
-  } else {
-    partial.assign(static_cast<std::size_t>(chunks * cols_ * b), 0);
-    const Index chunk_size = (rows_ + chunks - 1) / chunks;
-    par::global_pool().run_batch(chunks, [&](Index c) {
-      scatter_rows(c * chunk_size, std::min(rows_, (c + 1) * chunk_size),
-                   partial.data() + c * cols_ * b);
-    });
-    y.fill(0);
-    Real* out = y.data();
-    for (Index c = 0; c < chunks; ++c) {
-      const Real* part = partial.data() + c * cols_ * b;
-      for (Index idx = 0; idx < cols_ * b; ++idx) out[idx] += part[idx];
-    }
-  }
-  par::CostMeter::add_work(static_cast<std::uint64_t>(2 * nnz() * b));
-  par::CostMeter::add_depth(par::reduction_depth(rows_));
-}
 
 void Csr::apply_transpose_block_indexed(const Matrix& x, Matrix& y) const {
   PSDP_CHECK(t_built_,
@@ -451,56 +422,23 @@ void Csr::apply_block_f(const MatrixF& x, MatrixF& y,
 }
 
 void Csr::apply_transpose_block_f(const MatrixF& x, MatrixF& y,
-                                  std::span<const float> values_f,
-                                  std::span<const float> t_values_f,
-                                  std::vector<float>& partial) const {
+                                  std::span<const float> t_values_f) const {
   PSDP_CHECK(x.rows() == rows_,
              "csr apply_transpose_block_f: dimension mismatch");
   const Index b = x.cols();
   PSDP_CHECK(b >= 1,
              "csr apply_transpose_block_f: panel must have at least one "
              "column");
+  PSDP_CHECK(t_built_,
+             "csr apply_transpose_block_f: needs the transpose index");
+  PSDP_CHECK(static_cast<Index>(t_values_f.size()) == nnz(),
+             "csr apply_transpose_block_f: float CSC copy out of date");
   y.reshape(cols_, b);
   const simd::KernelTable& kt = simd::active_kernels();
-  if (t_built_) {
-    PSDP_CHECK(static_cast<Index>(t_values_f.size()) == nnz(),
-               "csr apply_transpose_block_f: float CSC copy out of date");
-    par::parallel_for_chunked(0, cols_, [&](Index jb, Index je) {
-      kt.gather_panel_f(t_offsets_.data(), t_rows_.data(), t_values_f.data(),
-                        jb, je, b, x.data(), y.data());
-    }, output_grain(nnz(), cols_, b));
-  } else {
-    PSDP_CHECK(static_cast<Index>(values_f.size()) == nnz(),
-               "csr apply_transpose_block_f: float value copy out of date");
-    // Owned-column scatter over row chunks, mirroring
-    // apply_transpose_block_owned (chunk-order combine, deterministic for a
-    // fixed thread count).
-    const Index grain = std::max<Index>(1, 256 / b);
-    const Index max_chunks = std::max<Index>(1, par::num_threads());
-    const Index chunks =
-        std::clamp<Index>((rows_ + grain - 1) / grain, 1, max_chunks);
-    const auto scatter = [&](Index begin, Index end, float* out) {
-      kt.scatter_rows_f(offsets_.data(), columns_.data(), values_f.data(),
-                        begin, end, b, x.data(), out);
-    };
-    if (chunks == 1) {
-      y.fill(0);
-      scatter(0, rows_, y.data());
-    } else {
-      partial.assign(static_cast<std::size_t>(chunks * cols_ * b), 0);
-      const Index chunk_size = (rows_ + chunks - 1) / chunks;
-      par::global_pool().run_batch(chunks, [&](Index c) {
-        scatter(c * chunk_size, std::min(rows_, (c + 1) * chunk_size),
-                partial.data() + c * cols_ * b);
-      });
-      y.fill(0);
-      float* out = y.data();
-      for (Index c = 0; c < chunks; ++c) {
-        const float* part = partial.data() + c * cols_ * b;
-        for (Index idx = 0; idx < cols_ * b; ++idx) out[idx] += part[idx];
-      }
-    }
-  }
+  par::parallel_for_chunked(0, cols_, [&](Index jb, Index je) {
+    kt.gather_panel_f(t_offsets_.data(), t_rows_.data(), t_values_f.data(),
+                      jb, je, b, x.data(), y.data());
+  }, output_grain(nnz(), cols_, b));
   par::CostMeter::add_work(static_cast<std::uint64_t>(2 * nnz() * b));
   par::CostMeter::add_depth(par::reduction_depth(rows_));
 }

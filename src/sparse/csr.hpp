@@ -7,12 +7,12 @@
 //
 // Transpose kernels: `Q^T x` has three panel kernels -- the per-output-row
 // CSC gather, the segmented-column gather (the same reduction swept one
-// cache-sized row window at a time), and the owned-column scatter. Which
-// one runs is a fixed rule on what build_transpose_index() left behind
-// (see apply_transpose_block); the gather and the segmented gather are
-// bitwise identical to each other at every thread count, so the rule
-// never changes results. See docs/ARCHITECTURE.md ("The sparse layer")
-// and docs/TUNING.md.
+// cache-sized row window at a time), and, for a matrix without a transpose
+// index, a serial row scatter. Which one runs is a fixed rule on what
+// build_transpose_index() left behind (see apply_transpose_block); all
+// three fold each output in ascending row order, so they are bitwise
+// identical at every thread count and the rule never changes results.
+// See docs/ARCHITECTURE.md ("The sparse layer") and docs/TUNING.md.
 #pragma once
 
 #include <array>
@@ -73,7 +73,7 @@ struct TransposeIndexOptions {
 enum class TransposeKernel {
   kGather,     ///< per-output-row CSC gather (apply_transpose_block_indexed)
   kSegmented,  ///< the gather swept one row window at a time (same bits)
-  kScatter,    ///< owned-column scatter, the only kernel without an index
+  kScatter,    ///< serial row scatter, the only kernel without an index
 };
 
 /// Stable lower-case name of a kernel ("gather", "segmented", "scatter").
@@ -156,14 +156,14 @@ class Csr {
   /// Build (idempotently) the cached transpose index: a CSC view of the
   /// matrix (column offsets, row indices and values in column-major order,
   /// rows ascending within each column). With the index present the
-  /// transpose kernels switch from the owned-column scatter to per-output
+  /// transpose kernels switch from the serial row scatter to per-output
   /// -row *gathers*: each output row of A^T x is one contiguous sweep over
   /// its column's entries with the accumulator in registers -- one pass
-  /// over the nonzeros, no per-chunk partial buffers, and bitwise
+  /// over the nonzeros, parallel over output rows, and bitwise
   /// deterministic across thread counts (each output is reduced serially
   /// in row order). Costs one extra copy of the nonzeros; FactorizedPsd
-  /// builds it automatically for tall factors, where the gather wins (see
-  /// README "The kernel layer").
+  /// builds it for every factor at construction (see README "The kernel
+  /// layer").
   ///
   /// Alongside the CSC view this builds (when `options` permit) the
   /// *segment grid* -- per-column offsets of each options.segment_rows-row
@@ -189,10 +189,11 @@ class Csr {
   /// KernelPlan description (perfbench provenance only).
   KernelPlan kernel_plan() const;
 
-  /// y = A^T x: the transpose-index gather when built (deterministic for
-  /// any thread count), the owned-column sweep otherwise (deterministic for
-  /// a fixed thread count; both accumulate per output in row order, so the
-  /// two paths agree bitwise).
+  /// y = A^T x: the transpose-index gather when built, a column-chunked row
+  /// sweep otherwise. Each is bitwise the same at any thread count. Both
+  /// accumulate each output in row order, but the sweep multiplies and adds
+  /// unfused, so the two agree bitwise only where the gather does too (the
+  /// scalar backend); the vector backends' fused gather differs by rounding.
   void apply_transpose(const Vector& x, Vector& y) const;
   /// y = A^T x, allocating the result.
   Vector apply_transpose(const Vector& x) const;
@@ -203,32 +204,22 @@ class Csr {
   /// bit-identical to apply() on column t of X (same accumulation order).
   void apply_block(const Matrix& x, Matrix& y) const;
 
-  /// Y = A^T X for a row-major rows() x b panel, by a fixed rule: no
-  /// transpose index -> the owned-column scatter; a segment grid -> the
-  /// segmented gather (which itself runs the plain gather when one window
-  /// covers the matrix); otherwise the plain gather. The two gathers are
-  /// bitwise identical at every width and thread count, so the rule never
-  /// changes results. The overload taking `partial` recycles the scatter
-  /// path's per-chunk accumulators across calls, keeping the hot path
-  /// allocation-free for every kernel.
+  /// Y = A^T X for a row-major rows() x b panel, by a fixed rule: a segment
+  /// grid -> the segmented gather (which itself runs the plain gather when
+  /// one window covers the matrix); a transpose index without a grid -> the
+  /// plain gather; no index -> one serial simd scatter_rows over every
+  /// row. All three fold each output in ascending row order, so they are
+  /// bitwise identical at every width and thread count.
   void apply_transpose_block(const Matrix& x, Matrix& y) const;
-  /// apply_transpose_block recycling the scatter path's `partial` buffer.
+  /// The same; `partial` is unused, kept for callers of the former
+  /// scatter-buffer overload.
   void apply_transpose_block(const Matrix& x, Matrix& y,
                              std::vector<Real>& partial) const;
 
-  /// The owned-column scatter, always available: parallel over row chunks
-  /// with per-chunk cols() x b accumulators (resized into `partial`,
-  /// capacity-preserving) combined in chunk order -- deterministic for a
-  /// fixed thread count; stays parallel even for the narrow factor panels
-  /// where column ownership would serialize.
-  void apply_transpose_block_owned(const Matrix& x, Matrix& y,
-                                   std::vector<Real>& partial) const;
-
   /// The transpose-index gather (requires build_transpose_index()): each
   /// output row j of Y accumulates column j's entries in ascending row
-  /// order -- the same order as a single-chunk owned-column sweep, so the
-  /// two paths agree bitwise; unlike the scatter it needs no partial
-  /// buffers and its result is independent of the thread count.
+  /// order -- the same order as the serial row scatter, so the two agree
+  /// bitwise -- and its result is independent of the thread count.
   void apply_transpose_block_indexed(const Matrix& x, Matrix& y) const;
 
   /// The segmented-column gather (requires the segment grid): the same
@@ -262,15 +253,13 @@ class Csr {
   void apply_block_f(const MatrixF& x, MatrixF& y,
                      std::span<const float> values_f) const;
 
-  /// Float32 twin of apply_transpose_block: the CSC gather when the
-  /// transpose index exists (t_values_f), the owned-column scatter over
-  /// `partial` chunks otherwise (values_f). No segmented dispatch -- the
-  /// float path only runs on factor panels, where the plain gather is the
-  /// right kernel.
+  /// Float32 twin of apply_transpose_block: the CSC gather over the
+  /// caller's float CSC copy (t_values_f). Requires the transpose index,
+  /// which every factor builds at construction. No segmented dispatch --
+  /// the float path only runs on factor panels, where the plain gather is
+  /// the right kernel.
   void apply_transpose_block_f(const MatrixF& x, MatrixF& y,
-                               std::span<const float> values_f,
-                               std::span<const float> t_values_f,
-                               std::vector<float>& partial) const;
+                               std::span<const float> t_values_f) const;
 
   /// Scale all values in place (keeps the cached CSC values in sync).
   Csr& scale(Real s);

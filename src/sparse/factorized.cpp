@@ -43,13 +43,9 @@ Real factor_lambda_max_bound(const Csr& q) {
 
 FactorizedPsd::FactorizedPsd(Csr q) : q_(std::move(q)) {
   PSDP_CHECK(q_.rows() >= 1, "factorized PSD: Q must have at least one row");
-  // Tall factors get the cached CSC view: every Q^T application (two per
-  // Taylor step on the sketched hot path) then runs the gather kernel
-  // instead of the owned-column scatter.
-  if (q_.rows() >=
-      kTransposeIndexAspect * std::max<Index>(1, q_.cols())) {
-    q_.build_transpose_index();
-  }
+  // Every Q^T application (two per Taylor step on the sketched hot path)
+  // runs a CSC gather over the cached index.
+  q_.build_transpose_index();
   lambda_bound_ = factor_lambda_max_bound(q_);
   const auto offsets = q_.row_offsets();
   for (Index r = 0; r < q_.rows(); ++r) {
@@ -197,10 +193,6 @@ FactorizedSet::FactorizedSet(std::vector<FactorizedPsd> items)
   }
 }
 
-void FactorizedSet::ensure_transpose_indexes() {
-  for (FactorizedPsd& item : items_) item.ensure_transpose_index();
-}
-
 const FactorizedPsd& FactorizedSet::operator[](Index i) const {
   PSDP_CHECK(i >= 0 && i < size(), "factorized set: index out of range");
   return items_[static_cast<std::size_t>(i)];
@@ -277,14 +269,13 @@ void FactorizedSet::weighted_apply_block(const Vector& x, const Matrix& v,
   const Index b = v.cols();
   const auto n = static_cast<std::size_t>(size());
   if (workspace.blocks.size() < n) workspace.blocks.resize(n);
-  if (workspace.partials.size() < n) workspace.partials.resize(n);
   if (workspace.terms.size() < n) workspace.terms.resize(n);
   y.reshape(dim_, b);
   psi_sweep<Real>(x, b, workspace.terms.data(), [&](Index i) {
     const auto at = static_cast<std::size_t>(i);
     const Csr& q = items_[at].q();
     Matrix& s = workspace.blocks[at];
-    q.apply_transpose_block(v, s, workspace.partials[at]);
+    q.apply_transpose_block(v, s);
     return simd::PsiTerm<Real>{q.col_indices().data(), q.values().data(),
                                s.data(), x[i]};
   }, simd::active_kernels().psi_rows, y.data());
@@ -315,7 +306,6 @@ void FactorizedSet::weighted_apply_block_f(const Vector& x, const MatrixF& v,
   const Index b = v.cols();
   const auto n = static_cast<std::size_t>(size());
   if (workspace.blocks_f.size() < n) workspace.blocks_f.resize(n);
-  if (workspace.partials_f.size() < n) workspace.partials_f.resize(n);
   if (workspace.terms_f.size() < n) workspace.terms_f.resize(n);
   y.reshape(dim_, b);
   psi_sweep<float>(x, b, workspace.terms_f.data(), [&](Index i) {
@@ -325,8 +315,7 @@ void FactorizedSet::weighted_apply_block_f(const Vector& x, const MatrixF& v,
     PSDP_CHECK(static_cast<Index>(fv.values.size()) == q.nnz(),
                "weighted_apply_block_f: float value copy out of date");
     MatrixF& s = workspace.blocks_f[at];
-    q.apply_transpose_block_f(v, s, fv.values, fv.t_values,
-                              workspace.partials_f[at]);
+    q.apply_transpose_block_f(v, s, fv.t_values);
     // Weights stay double until this one rounding to float: one rounding
     // per accumulated term, same as the float kernels themselves.
     return simd::PsiTerm<float>{q.col_indices().data(), fv.values.data(),

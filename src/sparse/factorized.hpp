@@ -16,21 +16,14 @@
 
 namespace psdp::sparse {
 
-/// Aspect ratio rows/cols at which a factor counts as "tall" and gets the
-/// cached transpose index at construction: the per-output-row CSC gather
-/// then replaces the owned-column scatter in every Q^T application (see
-/// Csr::build_transpose_index). Below this the extra copy of the nonzeros
-/// buys little; the solvers' factors (m x k with k small) are far above it.
-inline constexpr Index kTransposeIndexAspect = 4;
-
 /// One PSD matrix in factorized form.
 class FactorizedPsd {
  public:
   FactorizedPsd() = default;
 
   /// Takes Q (m x k). The represented matrix is Q Q^T, of dimension m.
-  /// Tall factors (rows >= kTransposeIndexAspect * cols) get the cached
-  /// transpose index built here, so their Q^T kernels run the gather path.
+  /// Builds Q's transpose index, so every Q^T kernel runs a gather whose
+  /// bits do not depend on the thread count.
   explicit FactorizedPsd(Csr q);
 
   /// Rank-1 special case A = v v^T (beamforming channels, graph edges).
@@ -41,13 +34,6 @@ class FactorizedPsd {
   static FactorizedPsd from_dense_psd(const Matrix& a, Real tol = 1e-10);
 
   const Csr& q() const { return q_; }
-
-  /// Build (idempotently) the factor's transpose index regardless of the
-  /// aspect gate. The sharded sets call this (through
-  /// FactorizedSet::ensure_transpose_indexes) for every factor when K > 1:
-  /// the CSC gather kernels are thread-count deterministic, the fallback
-  /// owned-column scatter is not.
-  void ensure_transpose_index() { q_.build_transpose_index(); }
 
   Index dim() const { return q_.rows(); }
   Index factor_cols() const { return q_.cols(); }
@@ -109,11 +95,6 @@ class FactorizedSet {
 
   const std::vector<FactorizedPsd>& items() const { return items_; }
 
-  /// Build (idempotently) every factor's transpose index regardless of the
-  /// aspect gate (FactorizedPsd::ensure_transpose_index). The K > 1
-  /// sharded sets call this; the CSR arrays the row index spans stay put.
-  void ensure_transpose_indexes();
-
   /// Psi = sum_i x_i A_i as a sparse CSR matrix (union of factor supports).
   /// Entries with weight zero are skipped.
   Csr weighted_sum(const Vector& x) const;
@@ -127,34 +108,25 @@ class FactorizedSet {
   /// set-level sweep in two work-gated parallel regions:
   ///  1. over constraints: for each nonzero weight, the transpose SpMM
   ///     S_i = Q_i^T V into the constraint's own k_i x b workspace block
-  ///     (Csr::apply_transpose_block; the owned-column scatter, run
-  ///     inline there, keeps its chunk count);
+  ///     (Csr::apply_transpose_block);
   ///  2. over output rows: Y[r,:] = sum_i x_i (Q_i[r,:] S_i) over the row's
   ///     segments in ascending i, through simd psi_rows; rows without
   ///     entries are written as zeros.
   /// The work is O(b sum_i nnz(Q_i) + m b), not O(n m b). Every output is
   /// bitwise the per-constraint composition -- the transpose SpMM,
   /// Csr::apply_block, then Matrix::add_scaled, constraint by constraint
-  /// -- at the same thread count. Column t is bit-identical to weighted_apply
-  /// on column t when every factor has a transpose index (all tall
-  /// factors, and every factor of a K > 1 sharded set). Without one, the
-  /// panel transpose is the owned-column scatter (fused on the vector
-  /// backends, summed per thread chunk) and the matvec a serial unfused
-  /// sweep, so the two agree only to rounding. The workspace blocks are
-  /// resized on first use and reusable across calls.
+  /// -- at any thread count, and column t is bit-identical to
+  /// weighted_apply on column t. The workspace blocks are resized on first
+  /// use and reusable across calls.
   struct BlockWorkspace {
     /// Per-constraint k_i x b intermediates S_i = Q_i^T V.
     std::vector<Matrix> blocks;
-    /// Per-constraint accumulators of the owned-column transpose scatter
-    /// (unused by factors with a transpose index); recycled across calls.
-    std::vector<std::vector<Real>> partials;
     /// Per-constraint operands of the row pass (simd::PsiTerm).
     std::vector<simd::PsiTerm<Real>> terms;
 
     /// Float twins of the buffers above, used only by the mixed-precision
     /// sketch mode (BigDotExpOptions::panel_precision).
     std::vector<MatrixF> blocks_f;
-    std::vector<std::vector<float>> partials_f;
     std::vector<simd::PsiTerm<float>> terms_f;
     /// Per-factor float32 copies of Q_i's values (and cached CSC values),
     /// built once by ensure_float_values and reused across panels, rounds,
@@ -163,7 +135,7 @@ class FactorizedSet {
     /// kernels cross-check sizes against nnz.
     struct FloatFactorValues {
       std::vector<float> values;
-      std::vector<float> t_values;  ///< empty when no transpose index
+      std::vector<float> t_values;  ///< the CSC values, in float
       bool built = false;
     };
     std::vector<FloatFactorValues> float_values;

@@ -14,9 +14,6 @@ ShardedFactorizedSet::ShardedFactorizedSet(FactorizedSet set,
                                            Index shard_count)
     : set_(std::move(set)) {
   offsets_ = partition_offsets(set_, shard_count);
-  // Bit-identical legacy path when a single shard results: no index
-  // forcing, the set is taken verbatim.
-  if (this->shard_count() > 1) force_transpose_indexes();
 }
 
 std::vector<Index> ShardedFactorizedSet::partition_offsets(
@@ -29,7 +26,7 @@ std::vector<Index> ShardedFactorizedSet::partition_offsets(
   // whose nnz prefix reaches (k+1)/K of the total, nudged forward so every
   // shard keeps at least one constraint. Deterministic in the instance
   // alone -- the cut must not depend on thread count or load order, since
-  // the K>1 reduction order (and hence the bits) follows the boundaries.
+  // the chunked file's shard blocks follow the boundaries.
   std::vector<Index> offsets(static_cast<std::size_t>(k_shards) + 1, 0);
   const Index total = std::max<Index>(1, set.total_nnz());
   Index begin = 0;   // first constraint of the current shard
@@ -65,7 +62,6 @@ ShardedFactorizedSet::ShardedFactorizedSet(FactorizedSet set,
     PSDP_CHECK(offsets_[k] < offsets_[k + 1],
                str("sharded set: shard ", k, " is empty"));
   }
-  if (shard_count() > 1) force_transpose_indexes();
 }
 
 Index ShardedFactorizedSet::shard_begin(Index k) const {
@@ -92,16 +88,8 @@ ShardedFactorizedSet ShardedFactorizedSet::scaled(Real s) const {
   for (const auto& item : set_.items()) items.push_back(item.scaled(s));
   ShardedFactorizedSet out;
   out.set_ = FactorizedSet(std::move(items));
-  out.offsets_ = offsets_;  // scaled() keeps indexes: no re-forcing needed
+  out.offsets_ = offsets_;
   return out;
-}
-
-void ShardedFactorizedSet::force_transpose_indexes() {
-  // K>1 determinism leg: every factor runs the CSC gather kernels, whose
-  // per-output serial reductions are independent of the pool width. The
-  // short/wide factors the aspect gate skipped get their index here;
-  // build_transpose_index is idempotent for the tall ones.
-  set_.ensure_transpose_indexes();
 }
 
 }  // namespace psdp::sparse

@@ -3,26 +3,18 @@
 //
 // A ShardedFactorizedSet is a FactorizedSet plus a contiguous partition of
 // its constraint indices into K shards -- shard k owns the global range
-// [shard_begin(k), shard_end(k)), balanced by nnz so the per-shard dots
-// sweeps of bigDotExp (Theorem 4.1's ||S Q_i||_F^2 loop, embarrassingly
-// partitionable across constraints) carry comparable work. Each shard's
-// factors own their transpose index and segment grid exactly as
-// before; the shard adds the slice boundaries that the per-shard sweeps,
-// the per-shard workspace slices and the chunked on-disk format all key on.
+// [shard_begin(k), shard_end(k)), balanced by nnz so the chunked file's
+// shard blocks, loaded one at a time, carry comparable bytes. Each shard's
+// factors own their transpose index and segment grid exactly as in a
+// plain FactorizedSet; the shard adds the slice boundaries that the
+// chunked on-disk format and the loader's per-shard page release key on.
 //
-// Determinism contract (locked by tests/test_sharded.cpp):
-//  * K = 1 is the unsharded legacy path, bit-identical to a plain
-//    FactorizedSet: same factors, same kernels, same reduction shapes.
-//  * K > 1 is bitwise deterministic across thread counts for fixed K:
-//    every factor gets the cached transpose index at shard construction
-//    (the CSC gathers reduce each output serially in row order at any pool
-//    width, unlike the owned-column scatter whose per-chunk combine is
-//    shaped by num_threads()), and every cross-constraint reduction -- the
-//    per-round dots/trace merge in bigDotExp, the oracle's tracked Tr[Psi]
-//    and lambda bounds -- runs as per-shard partials merged serially in
-//    shard order 0..K-1 (par::deterministic_sum for the panel traces).
-//    K > 1 bits differ from K = 1 bits (different summation shapes); what
-//    is guaranteed is that neither depends on the thread count.
+// Determinism contract (locked by tests/test_determinism.cpp): the
+// partition is bookkeeping only. Every factor carries its transpose index
+// from construction, every sweep runs over all n constraints, and every
+// reduction folds over fixed pieces (par::parallel_sum), so the bits
+// depend on the instance and the options -- never on K or the thread
+// count. K = 1 is simply the one-shard partition.
 #pragma once
 
 #include <span>
@@ -38,22 +30,16 @@ class ShardedFactorizedSet {
  public:
   ShardedFactorizedSet() = default;
 
-  /// Single-shard (legacy) wrap: no repartition, no index forcing -- the
-  /// set is taken verbatim, so K = 1 stays bit-identical to the
-  /// pre-sharding path.
+  /// Single-shard wrap: the set is taken verbatim as one shard.
   explicit ShardedFactorizedSet(FactorizedSet set);
 
   /// Partition `set` into `shard_count` contiguous shards balanced by nnz
-  /// (clamped to [1, size()]). With shard_count > 1 every factor gets its
-  /// transpose index built (idempotent for factors that already have one)
-  /// -- the determinism contract above requires the gather kernels on
-  /// every factor, not just the tall ones.
+  /// (clamped to [1, size()]).
   ShardedFactorizedSet(FactorizedSet set, Index shard_count);
 
   /// Adopt pre-cut shard boundaries (the chunked loader's shard table):
   /// `offsets` has shard_count+1 non-decreasing entries from 0 to
-  /// set.size() with every shard non-empty. Index forcing as above when
-  /// more than one shard.
+  /// set.size() with every shard non-empty.
   ShardedFactorizedSet(FactorizedSet set, std::vector<Index> offsets);
 
   Index size() const { return set_.size(); }
@@ -76,27 +62,20 @@ class ShardedFactorizedSet {
   /// The K+1 shard boundary offsets (shard k = [offsets[k], offsets[k+1])).
   std::span<const Index> shard_offsets() const { return offsets_; }
 
-  /// True when the K > 1 deterministic mode is engaged: per-shard sweeps,
-  /// fixed-order merges, thread-count-independent trace reductions.
-  bool deterministic() const { return shard_count() > 1; }
-
   const FactorizedPsd& operator[](Index i) const { return set_[i]; }
 
   /// Copy representing {s * A_i} with the shard boundaries carried along
-  /// (FactorizedPsd::scaled keeps each factor's transpose index, so no
-  /// index forcing re-runs).
+  /// (FactorizedPsd::scaled keeps each factor's transpose index).
   ShardedFactorizedSet scaled(Real s) const;
 
   /// The nnz-balanced contiguous partition the sharding constructor uses,
   /// as bare offsets (shard_count clamped to [1, set.size()]). Exposed so
   /// the chunked writer can lay out shard blocks without constructing a
-  /// sharded set (which would force transpose indexes just to serialize).
+  /// sharded set.
   static std::vector<Index> partition_offsets(const FactorizedSet& set,
                                               Index shard_count);
 
  private:
-  void force_transpose_indexes();
-
   FactorizedSet set_;
   std::vector<Index> offsets_;  ///< K+1 shard boundaries over [0, size()]
 };

@@ -82,9 +82,8 @@ class Cli;
 //   cache_capacity       ArtifactCache::Options::capacity
 //   workspaces_per_entry ArtifactCache::Options::workspaces_per_entry
 //   shards               constraint-shard count of factorized instances
-//                        (ShardedFactorizedSet); 1 = the unsharded legacy
-//                        path (bit-identical), >1 engages the per-shard
-//                        sweep with fixed-order reductions
+//                        (ShardedFactorizedSet); bookkeeping for the
+//                        chunked format -- no K changes a result bit
 // The block-size steps are 16, not the flag granularity of 4: their 0
 // default is an "auto" sentinel, so the first SPSA probe lands on 0 +/- step
 // and must be a *plausible* fixed block, not a pathological tiny one.

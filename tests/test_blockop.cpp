@@ -290,10 +290,9 @@ Matrix composed_psi(const sparse::FactorizedSet& set, const Vector& w,
                     const Matrix& v) {
   Matrix y(set.dim(), v.cols());
   Matrix s, c;
-  std::vector<Real> partial;
   for (Index i = 0; i < set.size(); ++i) {
     if (w[i] == 0) continue;
-    set[i].q().apply_transpose_block(v, s, partial);
+    set[i].q().apply_transpose_block(v, s);
     set[i].q().apply_block(s, c);
     y.add_scaled(c, w[i]);
   }
@@ -304,12 +303,12 @@ MatrixF composed_psi_f(const sparse::FactorizedSet& set, const Vector& w,
                        const MatrixF& v) {
   MatrixF y(set.dim(), v.cols());
   MatrixF s, c;
-  std::vector<float> values, t_values, partial;
+  std::vector<float> values, t_values;
   for (Index i = 0; i < set.size(); ++i) {
     if (w[i] == 0) continue;
     const sparse::Csr& q = set[i].q();
     q.fill_float_values(values, t_values);
-    q.apply_transpose_block_f(v, s, values, t_values, partial);
+    q.apply_transpose_block_f(v, s, t_values);
     q.apply_block_f(s, c, values);
     const auto wf = static_cast<float>(w[i]);
     for (Index e = 0; e < y.rows() * y.cols(); ++e) {
@@ -359,18 +358,13 @@ TEST(FactorizedBlock, SweepIsBitwiseTheComposedPsi) {
       // Tall and mostly empty (perfbench's shard-rounds factors, scaled
       // down): transpose-index gathers, 24 of 256 rows filled.
       {"tall-sparse", patterned_set(256, 4, 6, 24, 2, 91)},
-      // Every row filled and not tall: no transpose index, so the
-      // transpose runs the owned-column scatter (inline in the sweep's
-      // constraint region, with the composition's chunk count).
+      // Every row filled and not tall (24 rows, 8 columns): indexed at
+      // construction like every factor.
       {"full-wide", patterned_set(24, 8, 5, 24, 2, 92)},
-      // The same shape cut into K = 4 shards: every factor indexed.
-      {"full-wide-k4",
-       sparse::ShardedFactorizedSet(patterned_set(24, 8, 5, 24, 2, 92), 4)
-           .set()},
       // Large enough that both regions fan out at 4 threads (b >= 8).
       {"full-large", patterned_set(4096, 3, 2, 4096, 2, 93)},
   };
-  const sparse::FactorizedSet& large = shapes[3].set;
+  const sparse::FactorizedSet& large = shapes[2].set;
   EXPECT_LT(par::work_grain(large.dim(),
                             static_cast<Real>(8 * (large.total_nnz() +
                                                    large.dim()))),
@@ -378,8 +372,10 @@ TEST(FactorizedBlock, SweepIsBitwiseTheComposedPsi) {
   EXPECT_LT(par::work_grain(large.size(),
                             static_cast<Real>(8 * large.total_nnz())),
             large.size());
-  for (Index i = 0; i < shapes[2].set.size(); ++i) {
-    EXPECT_TRUE(shapes[2].set[i].q().has_transpose_index());
+  for (const Shape& shape : shapes) {
+    for (Index i = 0; i < shape.set.size(); ++i) {
+      EXPECT_TRUE(shape.set[i].q().has_transpose_index()) << shape.name;
+    }
   }
 
   for (const Shape& shape : shapes) {
@@ -548,12 +544,10 @@ TEST(BigDotExpBlocked, FusedDotsAreBitwiseTheRowScatter) {
   ThreadGuard guard;
   const sparse::FactorizedSet tall = patterned_set(256, 4, 5, 30, 2, 120);
   const sparse::FactorizedSet wide = patterned_set(24, 8, 4, 20, 2, 121);
-  sparse::ShardedFactorizedSet forced(patterned_set(24, 8, 4, 20, 2, 121), 4);
   ASSERT_TRUE(tall[0].q().has_transpose_index());
-  ASSERT_FALSE(wide[0].q().has_transpose_index());
-  ASSERT_TRUE(forced.set()[0].q().has_transpose_index());
+  ASSERT_TRUE(wide[0].q().has_transpose_index());
   constexpr Index kRows = 40;
-  for (const sparse::FactorizedSet* set : {&tall, &wide, &forced.set()}) {
+  for (const sparse::FactorizedSet* set : {&tall, &wide}) {
     const Index m = set->dim();
     const sparse::Csr phi = sparse::Csr::identity(m);
     for (const simd::Isa isa : simd::compiled_isas()) {

@@ -97,7 +97,6 @@ TEST(Chunked, SingleShardFileYieldsLegacyInstance) {
   save_factorized_chunked(path, original, 1);
   const FactorizedPackingInstance loaded = load_factorized_chunked(path);
   EXPECT_EQ(loaded.shard_count(), 1);
-  EXPECT_FALSE(loaded.sharded().deterministic());
   expect_same_instance(loaded, original);
   std::remove(path.c_str());
 }

@@ -94,31 +94,41 @@ TEST(ParallelForChunked, ChunksPartitionTheRange) {
   EXPECT_EQ(expected_begin, 10000);
 }
 
-TEST(ParallelReduce, MatchesSerialSum) {
+/// RAII guard: restore the global thread count on scope exit.
+struct ThreadGuard {
+  int before = num_threads();
+  ~ThreadGuard() { set_num_threads(before); }
+};
+
+TEST(ParallelSum, MatchesSerialSum) {
   const Index n = 100000;
   const Real got = parallel_sum(0, n, [](Index i) {
     return static_cast<Real>(i);
-  }, /*grain=*/128);
+  });
   EXPECT_NEAR(got, static_cast<Real>(n) * (n - 1) / 2, 1e-3);
+  EXPECT_EQ(parallel_sum(5, 5, [](Index) { return 1.0; }), 0.0);
 }
 
-TEST(ParallelReduce, DeterministicAcrossRuns) {
-  auto run = [] {
-    return parallel_sum(0, 50000,
-                        [](Index i) { return 1.0 / (static_cast<Real>(i) + 1); },
-                        /*grain=*/64);
-  };
-  const Real a = run();
-  const Real b = run();
-  EXPECT_EQ(a, b);  // bitwise: chunk partials combined in fixed order
-}
-
-TEST(ParallelReduce, CustomCombine) {
-  const Real max = parallel_reduce(
-      0, 10000, -1e300,
-      [](Index i) { return static_cast<Real>((i * 37) % 1001); },
-      [](Real a, Real b) { return a > b ? a : b; }, /*grain=*/32);
-  EXPECT_EQ(max, 1000);
+TEST(ParallelSum, BitwiseAcrossThreadCounts) {
+  // 50000 terms span four fixed pieces; the pieces, not the pool width,
+  // fix the summation order.
+  const Index n = 50000;
+  const auto term = [](Index i) { return 1.0 / (static_cast<Real>(i) + 1); };
+  ASSERT_GT(n, 2 * kDeterministicSumChunk);
+  Real want = 0;
+  for (Index b = 0; b < n; b += kDeterministicSumChunk) {
+    Real piece = 0;
+    for (Index i = b; i < std::min(n, b + kDeterministicSumChunk); ++i) {
+      piece += term(i);
+    }
+    want += piece;
+  }
+  ThreadGuard guard;
+  for (const int threads : {1, 2, 7}) {
+    set_num_threads(threads);
+    EXPECT_EQ(parallel_sum(0, n, term), want) << threads << " threads";
+    EXPECT_EQ(parallel_sum(0, n, term), want) << threads << " threads, rerun";
+  }
 }
 
 TEST(ParallelMax, FindsMaximum) {
@@ -205,12 +215,6 @@ TEST(WorkGrain, ElementsPerChunkReachTheGate) {
   // Every element counts at least one unit of work.
   EXPECT_EQ(work_grain(4 * k, 0), k);
 }
-
-/// RAII guard: restore the global thread count on scope exit.
-struct ThreadGuard {
-  int before = num_threads();
-  ~ThreadGuard() { set_num_threads(before); }
-};
 
 TEST(GlobalPool, ConcurrentFirstUseSharesOnePool) {
   ThreadGuard guard;

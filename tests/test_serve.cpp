@@ -256,24 +256,34 @@ core::OptimizeOptions loose_options() {
 
 TEST(BatchScheduler, LaneResultsBitwiseEqualSoloRuns) {
   ThreadGuard guard;
-  par::set_num_threads(4);
-
   const auto inst_a = small_factorized(3);
   const auto inst_b = small_factorized(4);
   const core::OptimizeOptions options = loose_options();
+  // Job c's 16-row panels on m = 128 fold 2048-term traces, more than a
+  // pool-width-chunked sum would keep in one chunk.
+  const auto inst_c = std::make_shared<const core::FactorizedPackingInstance>(
+      apps::random_factorized(
+          {.n = 6, .m = 128, .rank = 2, .nnz_per_column = 4, .seed = 11}));
+  core::OptimizeOptions options_c = options;
+  options_c.decision.dot_options.sketch_rows_override = 16;
 
-  // Solo references at the same pool width.
+  // Solo references at one thread; the batch runs at four.
+  par::set_num_threads(1);
   const core::PackingOptimum solo_a = core::approx_packing(*inst_a, options);
   const core::PackingOptimum solo_b = core::approx_packing(*inst_b, options);
+  const core::PackingOptimum solo_c =
+      core::approx_packing(*inst_c, options_c);
+  par::set_num_threads(4);
 
   SolveBatch batch;
   batch.add_factorized("a", inst_a, options);
   batch.add_factorized("b", inst_b, options);
   batch.add_factorized("a", inst_a, options, "a-again");
+  batch.add_factorized("c", inst_c, options_c);
 
   BatchScheduler scheduler;
   const std::vector<JobResult> results = scheduler.run(batch);
-  ASSERT_EQ(results.size(), 3u);
+  ASSERT_EQ(results.size(), 4u);
   for (const JobResult& r : results) {
     ASSERT_TRUE(r.ok) << r.label << ": " << r.error;
     EXPECT_GE(r.lane, 0) << "small jobs must run in lanes";
@@ -290,6 +300,7 @@ TEST(BatchScheduler, LaneResultsBitwiseEqualSoloRuns) {
   expect_bitwise(results[0].packing, solo_a);
   expect_bitwise(results[1].packing, solo_b);
   expect_bitwise(results[2].packing, solo_a);  // repeated config, cached
+  expect_bitwise(results[3].packing, solo_c);
 
   // The two "a" jobs may resolve concurrently from different lanes:
   // exactly one runs the builder, the other shares it.
