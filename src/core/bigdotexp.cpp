@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <utility>
 
 #include "linalg/power.hpp"
@@ -152,130 +153,202 @@ void accumulate_dots_reference(const std::vector<Real>& s, Index dim, Index r,
   }, constraint_grain(as, r));
 }
 
-/// Fused blocked path (the ROADMAP "one pass over S" item): panels of
-/// `block` sketch rows go through the Taylor recurrence and their
-/// contribution to every dots_i and to the trace is accumulated as soon as
-/// the panel's last Taylor step finishes, while the panel is cache-hot.
-/// Per panel and constraint, the k x b block Q_i^T (panel) -- each entry
-/// (row, c, v) of Q_i a contiguous length-b AXPY from the panel row into
-/// block row c -- has squared entries that are the panel's share of
-/// ||S Q_i||_F^2. Nothing m x r is ever
-/// materialized, and S is neither written back nor re-read. All scratch --
-/// panels, Taylor recurrence, per-constraint accumulators -- lives in the
-/// caller-owned workspace, so repeated calls allocate nothing once warm.
-/// Returns the trace estimate ||S||_F^2; `dots` must be zero-initialized.
-Real sketch_exp_dots_fused(const linalg::BlockOp& phi_block, Index dim,
-                           Index rows, Index degree, std::uint64_t seed,
-                           bool exact, Index block,
-                           const sparse::FactorizedSet& as,
-                           SolverWorkspace& ws, Vector& dots) {
-  std::optional<rand::GaussianSketch> pi;
-  if (!exact) pi.emplace(rand::GaussianSketch::deferred(rows, dim, seed));
+/// Phi = sum_i x_i Q_i Q_i^T over the set a round dots against, applied
+/// with the implicit-Psi scratch of the slot it runs in. Concurrent slots
+/// share nothing through it -- unlike a caller's closure -- which is what
+/// licenses panel-parallel rounds.
+struct SetPhi {
+  const sparse::FactorizedSet* set;
+  const Vector* x;
+  sparse::FactorizedSet::BlockWorkspace* scratch;
 
-  // One k_i x b accumulator per constraint, recycled across panels and
-  // across calls (assign() reuses capacity), so the hot parallel_for
-  // performs no heap traffic once the workspace has seen this instance.
-  if (static_cast<Index>(ws.accumulators.size()) < as.size()) {
-    ws.accumulators.resize(static_cast<std::size_t>(as.size()));
+  void operator()(const Vector& v, Vector& y) const {
+    set->weighted_apply(*x, v, y);
   }
-  Real trace = 0;
-  par::global_pool();  // warm up outside the loop (lazy init)
-  for (Index j0 = 0; j0 < rows; j0 += block) {
-    const Index b = std::min(block, rows - j0);
-    fill_sketch_panel(pi, exact, dim, j0, b, ws.x_panel);
-    linalg::apply_exp_taylor_block(phi_block, degree, ws.x_panel, ws.y_panel,
-                                   ws, kHalfScale);
-    // Tr[exp(Phi)] ~ ||S||_F^2, one panel's rows at a time.
-    trace += par::parallel_sum(0, dim * b, [&](Index k) {
-      return sq(ws.y_panel.data()[static_cast<std::size_t>(k)]);
-    });
-    // Per constraint: the k_i x b block Q_i^T (panel), gathered column by
-    // column over the factor's transpose index (every factor has one),
-    // then the block's squared mass -- the panel's share of ||S Q_i||_F^2.
-    // Each output is one chain in ascending row order, so the block is
-    // bitwise the serial row scatter's.
-    const simd::KernelTable& kt = simd::active_kernels();
-    par::parallel_for(0, as.size(), [&](Index i) {
-      const sparse::Csr& q = as[i].q();
-      const Index k = q.cols();
-      std::vector<Real>& acc = ws.accumulators[static_cast<std::size_t>(i)];
-      acc.resize(static_cast<std::size_t>(k * b));
-      kt.gather_panel(q.transpose_offsets().data(), q.transpose_rows().data(),
-                      q.transpose_values().data(), 0, k, b, ws.y_panel.data(),
-                      acc.data());
-      dots[i] += kt.sum_sq(acc.data(), k * b);
-      par::CostMeter::add_work(
-          static_cast<std::uint64_t>(b * (2 * q.nnz() + 2 * k)));
-    }, constraint_grain(as, b));
-    // Critical path of this panel beyond the Taylor sweep (which charges
-    // its own depth): the trace reduction and the constraint sweep both
-    // finish before the next panel starts, so they stack across the
-    // ceil(r/block) sequential panels.
-    par::CostMeter::add_depth(par::reduction_depth(dim * b) +
-                              par::reduction_depth(as.size()));
+  void operator()(const Matrix& v, Matrix& y) const {
+    set->weighted_apply_block(*x, v, y, *scratch);
   }
-  return trace;
-}
+  void operator()(const linalg::MatrixF& v, linalg::MatrixF& y) const {
+    set->weighted_apply_block_f(*x, v, y, *scratch);
+  }
+};
 
-/// Float32 twin of sketch_exp_dots_fused -- the mixed-precision sketch mode.
-/// The sketch panel is generated in double (bit-identical to the double
-/// path's panels, same seed stream) and rounded once to float; the Taylor
-/// recurrence then runs entirely on float panels through the caller's float
-/// block operator, and every reduction that feeds a certificate -- the
-/// trace and each panel's dots share -- is a compensated *double* sum over
-/// the float data (sum_sq_f), so float error enters only as O(eps_f) panel
-/// rounding, inside the margin the JL noise budget already absorbs
-/// (docs/noisy_oracle_margin.md). Per-factor float value copies live in the
-/// workspace (ensure_float_values), so steady-state rounds stay
-/// allocation-free here too.
-Real sketch_exp_dots_fused_f(const linalg::BlockOpF& phi_block_f, Index dim,
-                             Index rows, Index degree, std::uint64_t seed,
-                             bool exact, Index block,
-                             const sparse::FactorizedSet& as,
-                             SolverWorkspace& ws, Vector& dots) {
-  std::optional<rand::GaussianSketch> pi;
-  if (!exact) pi.emplace(rand::GaussianSketch::deferred(rows, dim, seed));
+/// Where the slots of a fused round get Phi: the caller's panel closures
+/// (one slot only -- a closure need not be reentrant) or, for the set form,
+/// a SetPhi per slot at `set_weights`.
+struct PanelPhi {
+  const linalg::BlockOp* block = nullptr;
+  const linalg::BlockOpF* block_f = nullptr;
+  const Vector* set_weights = nullptr;
+};
 
+/// The fixed inputs of one fused round.
+struct FusedRound {
+  const sparse::FactorizedSet& as;
+  const std::optional<rand::GaussianSketch>& pi;  ///< empty when exact
+  Index dim;
+  Index rows;
+  Index degree;
+  Index block;
+  bool float_panels;
+
+  Index panels() const { return (rows + block - 1) / block; }
+};
+
+/// One panel of a fused round (the ROADMAP "one pass over S" item): sketch
+/// rows [p block, p block + b) go through the Taylor recurrence, and the
+/// panel's share of the trace ||S||_F^2 and of every dots_i is written to
+/// its cells right after the panel's last Taylor step, while the panel is
+/// cache-hot. Per constraint, the k_i x b block Q_i^T (panel) is gathered
+/// column by column over the factor's transpose index (every factor has
+/// one), each output one chain in ascending row order; its squared mass is
+/// the panel's share of ||S Q_i||_F^2. Nothing m x r is ever materialized.
+///
+/// In float32 (the mixed-precision sketch mode) the panel is generated in
+/// double -- the same seed stream, so bit-identical to the double path's --
+/// and rounded once to float; the recurrence and the gather then run on
+/// float panels, and every reduction that feeds a certificate is a
+/// compensated *double* sum over the float data (sum_sq_f), so float error
+/// enters only as O(eps_f) panel rounding, inside the margin the JL noise
+/// budget already absorbs (docs/noisy_oracle_margin.md). Precision changes
+/// constants, not the metered work/depth.
+void sweep_panel(const FusedRound& round, Index p, const linalg::BlockOp& phi,
+                 const linalg::BlockOpF* phi_f, PanelWorkspace& w,
+                 Real& trace_share, Real* dot_shares) {
+  const Index dim = round.dim;
+  const Index j0 = p * round.block;
+  const Index b = std::min(round.block, round.rows - j0);
   const simd::KernelTable& kt = simd::active_kernels();
-  as.ensure_float_values(ws.factor);
-  if (static_cast<Index>(ws.accumulators_f.size()) < as.size()) {
-    ws.accumulators_f.resize(static_cast<std::size_t>(as.size()));
-  }
-  Real trace = 0;
-  par::global_pool();  // warm up outside the loop (lazy init)
-  for (Index j0 = 0; j0 < rows; j0 += block) {
-    const Index b = std::min(block, rows - j0);
-    fill_sketch_panel(pi, exact, dim, j0, b, ws.x_panel);
-    ws.x_panel_f.reshape(dim, b);
-    kt.convert_d2f(ws.x_panel.data(), ws.x_panel_f.data(), dim * b);
-    linalg::apply_exp_taylor_block_f(phi_block_f, degree, ws.x_panel_f,
-                                     ws.y_panel_f, ws.taylor_f,
+  fill_sketch_panel(round.pi, !round.pi.has_value(), dim, j0, b, w.x_panel);
+  if (round.float_panels) {
+    w.x_panel_f.reshape(dim, b);
+    kt.convert_d2f(w.x_panel.data(), w.x_panel_f.data(), dim * b);
+    linalg::apply_exp_taylor_block_f(*phi_f, round.degree, w.x_panel_f,
+                                     w.y_panel_f, w.taylor_f,
                                      static_cast<float>(kHalfScale));
-    // sum_sq_f is a serial compensated double sum, independent of the
-    // thread count.
-    trace += kt.sum_sq_f(ws.y_panel_f.data(), dim * b);
-    par::parallel_for(0, as.size(), [&](Index i) {
-      const sparse::Csr& q = as[i].q();
-      const Index k = q.cols();
-      const auto& fv =
-          ws.factor.float_values[static_cast<std::size_t>(i)];
-      std::vector<float>& acc =
-          ws.accumulators_f[static_cast<std::size_t>(i)];
-      // The double path's gather, over the float CSC values.
+    // A serial compensated double sum, independent of the thread count.
+    trace_share = kt.sum_sq_f(w.y_panel_f.data(), dim * b);
+  } else {
+    linalg::apply_exp_taylor_block(phi, round.degree, w.x_panel, w.y_panel,
+                                   w, kHalfScale);
+    trace_share = par::parallel_sum(0, dim * b, [&](Index k) {
+      return sq(w.y_panel.data()[static_cast<std::size_t>(k)]);
+    });
+  }
+  const sparse::FactorizedSet& as = round.as;
+  par::parallel_for(0, as.size(), [&](Index i) {
+    const sparse::Csr& q = as[i].q();
+    const Index k = q.cols();
+    const auto at = static_cast<std::size_t>(i);
+    if (round.float_panels) {
+      std::vector<float>& acc = w.accumulators_f[at];
       acc.resize(static_cast<std::size_t>(k * b));
       kt.gather_panel_f(q.transpose_offsets().data(),
-                        q.transpose_rows().data(), fv.t_values.data(), 0, k,
-                        b, ws.y_panel_f.data(), acc.data());
-      dots[i] += kt.sum_sq_f(acc.data(), k * b);
-      par::CostMeter::add_work(
-          static_cast<std::uint64_t>(b * (2 * q.nnz() + 2 * k)));
-    }, constraint_grain(as, b));
-    // Same model costs as the double path: precision changes constants,
-    // not the metered work/depth shape.
-    par::CostMeter::add_work(static_cast<std::uint64_t>(2 * dim * b));
-    par::CostMeter::add_depth(par::reduction_depth(dim * b) +
-                              par::reduction_depth(as.size()));
+                        q.transpose_rows().data(),
+                        w.factor.float_values[at].t_values.data(), 0, k, b,
+                        w.y_panel_f.data(), acc.data());
+      dot_shares[i] = kt.sum_sq_f(acc.data(), k * b);
+    } else {
+      std::vector<Real>& acc = w.accumulators[at];
+      acc.resize(static_cast<std::size_t>(k * b));
+      kt.gather_panel(q.transpose_offsets().data(), q.transpose_rows().data(),
+                      q.transpose_values().data(), 0, k, b, w.y_panel.data(),
+                      acc.data());
+      dot_shares[i] = kt.sum_sq(acc.data(), k * b);
+    }
+    par::CostMeter::add_work(
+        static_cast<std::uint64_t>(b * (2 * q.nnz() + 2 * k)));
+  }, constraint_grain(as, b));
+  // The panel chain's depth beyond its Taylor sweep (which charges its
+  // own): the trace reduction, then the constraint sweep.
+  par::CostMeter::add_depth(par::reduction_depth(dim * b) +
+                            par::reduction_depth(as.size()));
+}
+
+/// Slots of a fused round (the slot rule, see the set-form big_dot_exp):
+/// the available width when Phi is reentrant, there are at least that many
+/// panels, and each slot carries kMinChunkWork -- a panel step is a Psi
+/// apply (4 b nnz) and a Taylor step (3 m b) -- else 1.
+Index fused_slots(const FusedRound& round, const PanelPhi& phi) {
+  if (phi.set_weights == nullptr) return 1;
+  const Index width = par::available_width();
+  if (width == 1 || round.panels() < width) return 1;
+  const Real work = static_cast<Real>(round.rows * round.degree) *
+                    static_cast<Real>(4 * round.as.total_nnz() + 3 * round.dim);
+  return work >= static_cast<Real>(width) * par::kMinChunkWork ? width : 1;
+}
+
+/// Fused blocked path: the panels of a round run on fused_slots() slots,
+/// slot s taking panels [s P / S, (s + 1) P / S) with its own
+/// PanelWorkspace (slot 0 is the workspace itself, so a one-slot round
+/// touches exactly the buffers it always did). More than one slot opens a
+/// single pool region, and every kernel inside a slot runs inline; one slot
+/// runs the panels in order on the caller, its kernels fanning out. Each
+/// panel writes its trace share and dots shares to its own cells, which
+/// are folded here in panel order -- bitwise the serial `dots_i += share`
+/// chain at every slot count. Each panel runs under a depth capture, and
+/// the deepest chain is charged once: the panels are independent chains.
+/// All scratch lives in the caller-owned workspace, so repeated calls
+/// allocate nothing once warm. Returns the trace estimate ||S||_F^2.
+Real sketch_exp_dots_fused(const FusedRound& round, const PanelPhi& phi,
+                           SolverWorkspace& ws, Vector& dots) {
+  const sparse::FactorizedSet& as = round.as;
+  const Index n = as.size();
+  const Index panels = round.panels();
+  const Index slots = fused_slots(round, phi);
+  if (static_cast<Index>(ws.slots.size()) < slots - 1) {
+    ws.slots.resize(static_cast<std::size_t>(slots - 1));
   }
+  ws.panel_trace.assign(static_cast<std::size_t>(panels), 0);
+  ws.panel_dots.assign(static_cast<std::size_t>(panels * n), 0);
+  ws.panel_depth.assign(static_cast<std::size_t>(panels), 0);
+
+  const auto run_slot = [&](Index s) {
+    PanelWorkspace& w =
+        s == 0 ? ws : ws.slots[static_cast<std::size_t>(s - 1)];
+    // One k_i x b accumulator per constraint, recycled across panels and
+    // calls (resize() reuses capacity).
+    if (static_cast<Index>(w.accumulators.size()) < n) {
+      w.accumulators.resize(static_cast<std::size_t>(n));
+      w.accumulators_f.resize(static_cast<std::size_t>(n));
+    }
+    if (round.float_panels) as.ensure_float_values(w.factor);
+    const SetPhi set_phi{&as, phi.set_weights, &w.factor};
+    linalg::BlockOp own;
+    linalg::BlockOpF own_f;
+    if (phi.set_weights != nullptr) {
+      // Reference wrappers: stored inside the std::function, no heap.
+      own = std::cref(set_phi);
+      own_f = std::cref(set_phi);
+    }
+    const linalg::BlockOp& block = phi.set_weights ? own : *phi.block;
+    const linalg::BlockOpF* block_f = phi.set_weights ? &own_f : phi.block_f;
+    for (Index p = s * panels / slots; p < (s + 1) * panels / slots; ++p) {
+      const auto at = static_cast<std::size_t>(p);
+      par::CostMeter::ScopedDepthCapture chain;
+      sweep_panel(round, p, block, block_f, w, ws.panel_trace[at],
+                  ws.panel_dots.data() + p * n);
+      ws.panel_depth[at] = chain.depth();
+    }
+  };
+  par::global_pool();  // warm up outside the loop (lazy init)
+  if (slots == 1) {
+    run_slot(0);
+  } else {
+    par::parallel_for(0, slots, run_slot, /*grain=*/1);
+  }
+
+  Real trace = 0;
+  for (const Real share : ws.panel_trace) trace += share;
+  for (Index i = 0; i < n; ++i) {
+    Real d = 0;
+    for (Index p = 0; p < panels; ++p) {
+      d += ws.panel_dots[static_cast<std::size_t>(p * n + i)];
+    }
+    dots[i] = d;
+  }
+  par::CostMeter::add_depth(
+      *std::max_element(ws.panel_depth.begin(), ws.panel_depth.end()));
   return trace;
 }
 
@@ -313,14 +386,15 @@ void accumulate_dots_blocked(const std::vector<Real>& st, Index r,
   }, constraint_grain(as, r));
 }
 
-}  // namespace
-
-void big_dot_exp(const linalg::SymmetricOp& phi,
-                 const linalg::BlockOp& phi_block, Index dim, Real kappa,
-                 const sparse::FactorizedSet& as,
-                 const BigDotExpOptions& options, SolverWorkspace& workspace,
-                 BigDotExpResult& result,
-                 const linalg::BlockOpF* phi_block_f) {
+/// The workspace form behind every overload. `phi_panel.set_weights` is
+/// set only by the set form, whose Phi is reentrant.
+void big_dot_exp_impl(const linalg::SymmetricOp& phi,
+                      const PanelPhi& phi_panel, Index dim, Real kappa,
+                      const sparse::FactorizedSet& as,
+                      const BigDotExpOptions& options,
+                      SolverWorkspace& workspace, BigDotExpResult& result) {
+  const linalg::BlockOp& phi_block = *phi_panel.block;
+  const linalg::BlockOpF* phi_block_f = phi_panel.block_f;
   PSDP_CHECK(dim >= 1, "big_dot_exp: dimension must be positive");
   PSDP_CHECK(as.dim() == dim, "big_dot_exp: constraint dimension mismatch");
   PSDP_CHECK(kappa >= 0, "big_dot_exp: kappa must be non-negative");
@@ -395,16 +469,14 @@ void big_dot_exp(const linalg::SymmetricOp& phi,
     // Fused blocked path: dots and trace accumulate per panel, right after
     // the panel's Taylor sweep -- no m x r buffer, no second pass over S.
     result.fused = true;
-    result.dots.fill(0);
-    if (float_panels) {
-      result.trace_exp = sketch_exp_dots_fused_f(
-          *phi_block_f, dim, r, result.taylor_degree, options.seed,
-          result.exact_sketch, block, as, workspace, result.dots);
-    } else {
-      result.trace_exp = sketch_exp_dots_fused(
-          phi_block, dim, r, result.taylor_degree, options.seed,
-          result.exact_sketch, block, as, workspace, result.dots);
+    std::optional<rand::GaussianSketch> pi;
+    if (!result.exact_sketch) {
+      pi.emplace(rand::GaussianSketch::deferred(r, dim, options.seed));
     }
+    const FusedRound round{as,    pi,    dim,         r, result.taylor_degree,
+                           block, float_panels};
+    result.trace_exp =
+        sketch_exp_dots_fused(round, phi_panel, workspace, result.dots);
   } else {
     // Blocked path: panels of `block` sketch rows share each Phi traversal.
     const std::vector<Real> st = sketch_times_exp_half_blocked(
@@ -418,14 +490,39 @@ void big_dot_exp(const linalg::SymmetricOp& phi,
 
   // Frobenius reduction for the trace; the Phi applications, Taylor panel
   // arithmetic, sketch generation, and dots streaming charge themselves.
-  // The fused path has already charged its per-panel reduction depth, so
-  // only the two separate final passes of the unfused layouts add depth
+  // The fused path has already charged its panel chain's reduction depth,
+  // so only the two separate final passes of the unfused layouts add depth
   // here.
   par::CostMeter::add_work(static_cast<std::uint64_t>(2 * r * dim));
   if (!result.fused) {
     par::CostMeter::add_depth(par::reduction_depth(dim) +
                               par::reduction_depth(as.size()));
   }
+}
+
+}  // namespace
+
+void big_dot_exp(const linalg::SymmetricOp& phi,
+                 const linalg::BlockOp& phi_block, Index dim, Real kappa,
+                 const sparse::FactorizedSet& as,
+                 const BigDotExpOptions& options, SolverWorkspace& workspace,
+                 BigDotExpResult& result,
+                 const linalg::BlockOpF* phi_block_f) {
+  big_dot_exp_impl(phi, PanelPhi{&phi_block, phi_block_f, nullptr}, dim,
+                   kappa, as, options, workspace, result);
+}
+
+void big_dot_exp(const Vector& x, Real kappa, const sparse::FactorizedSet& as,
+                 const BigDotExpOptions& options, SolverWorkspace& workspace,
+                 BigDotExpResult& result) {
+  PSDP_CHECK(x.size() == as.size(), "big_dot_exp: weight length mismatch");
+  // Slot 0's Phi, which also serves the reference and unfused paths.
+  const SetPhi set_phi{&as, &x, &workspace.factor};
+  const linalg::SymmetricOp phi = std::cref(set_phi);
+  const linalg::BlockOp phi_block = std::cref(set_phi);
+  const linalg::BlockOpF phi_block_f = std::cref(set_phi);
+  big_dot_exp_impl(phi, PanelPhi{&phi_block, &phi_block_f, &x}, as.dim(),
+                   kappa, as, options, workspace, result);
 }
 
 void big_dot_exp(const linalg::SymmetricOp& phi,

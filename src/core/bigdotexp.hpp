@@ -32,7 +32,9 @@
 // (BigDotExpOptions::fuse_dots): each panel's contribution to every dots_i
 // and to the trace is consumed right after the panel's last Taylor step,
 // so S^T is never materialized (saves the m x r buffer and one full pass
-// over S).
+// over S). The r sketch rows are independent Taylor chains, so when Phi is
+// the constraint set's own weighted sum (the set form below) the panels of
+// a fused round run concurrently, one panel range per thread.
 #pragma once
 
 #include <cstdint>
@@ -128,17 +130,12 @@ struct BigDotExpResult {
   PanelPrecision panel_precision = PanelPrecision::kDouble;
 };
 
-/// Caller-owned scratch recycled across big_dot_exp calls -- and therefore
-/// across solver iterations, which is where it matters: one oracle
-/// evaluation per round reuses the Taylor panels (the TaylorBlockWorkspace
-/// base), the sketch input/output panels, the fused per-constraint dots
-/// accumulators, and the implicit-Psi panel scratch, so the steady-state
-/// iteration performs no heap allocations after warmup (enforced by
-/// bench_variants --alloc-guard). SketchedTaylorOracle holds one (or
-/// borrows the caller's via SketchedOracleOptions::workspace); sharing an
-/// instance across sequential solves is safe -- every buffer is fully
-/// overwritten per call -- and never changes results.
-struct SolverWorkspace : linalg::TaylorBlockWorkspace {
+/// The scratch of one panel sweep: the sketch input and Taylor output
+/// panels, the Taylor recurrence (the TaylorBlockWorkspace base), the fused
+/// per-constraint dots accumulators, and the implicit-Psi scratch. A fused
+/// round runs its panels on one or more slots, each with a PanelWorkspace
+/// of its own (see SolverWorkspace).
+struct PanelWorkspace : linalg::TaylorBlockWorkspace {
   linalg::Matrix x_panel;  ///< sketch panel (dim x b)
   linalg::Matrix y_panel;  ///< Taylor output panel (dim x b)
   /// Fused path: one k_i x b dots accumulator per constraint.
@@ -151,6 +148,28 @@ struct SolverWorkspace : linalg::TaylorBlockWorkspace {
   std::vector<std::vector<float>> accumulators_f;
   /// Scratch of FactorizedSet::weighted_apply_block (the implicit Psi).
   sparse::FactorizedSet::BlockWorkspace factor;
+};
+
+/// Caller-owned scratch recycled across big_dot_exp calls -- and therefore
+/// across solver iterations, which is where it matters: one oracle
+/// evaluation per round reuses every panel, Taylor, accumulator and
+/// implicit-Psi buffer, so the steady-state iteration performs no heap
+/// allocations after warmup (enforced by bench_variants --alloc-guard).
+/// The workspace's own PanelWorkspace base is slot 0 of a fused round;
+/// `slots` holds slots 1.. of a panel-parallel one, sized on the first
+/// round at a width. SketchedTaylorOracle holds one (or borrows the
+/// caller's via SketchedOracleOptions::workspace); sharing an instance
+/// across sequential solves is safe -- every buffer is fully overwritten
+/// per call -- and never changes results.
+struct SolverWorkspace : PanelWorkspace {
+  /// Slots 1.. of a panel-parallel fused round.
+  std::vector<PanelWorkspace> slots;
+  /// Per-panel cells of a fused round: the panel's trace share, its n
+  /// dots shares (panel-major), and the depth of its chain. The calling
+  /// thread folds them in panel order.
+  std::vector<Real> panel_trace;
+  std::vector<Real> panel_dots;
+  std::vector<std::uint64_t> panel_depth;
 };
 
 /// Phi as an abstract symmetric PSD operator of dimension `dim` (matvec).
@@ -197,6 +216,23 @@ void big_dot_exp(const linalg::SymmetricOp& phi,
                  const BigDotExpOptions& options, SolverWorkspace& workspace,
                  BigDotExpResult& result,
                  const linalg::BlockOpF* phi_block_f = nullptr);
+
+/// Set form: Phi = sum_i x_i Q_i Q_i^T over the very set the dots are taken
+/// against, applied by big_dot_exp itself (FactorizedSet::weighted_apply*
+/// at weights `x`, dim = as.dim()). This is the only form whose fused
+/// panels may run concurrently: each slot applies Phi with its own
+/// PanelWorkspace::factor, whereas a caller's closure may share state
+/// between calls. Bitwise equal to the closure forms given the same Phi.
+///
+/// The slot rule: a fused round opens one region of width slots, each
+/// taking a fixed contiguous range of panels, when it has at least as many
+/// panels as the width par::available_width() reports and carries
+/// kMinChunkWork per slot; otherwise one slot runs every panel in order,
+/// its kernels fanning out as usual. Per-panel cells are folded in panel
+/// order, so the bits never depend on the slot count.
+void big_dot_exp(const Vector& x, Real kappa, const sparse::FactorizedSet& as,
+                 const BigDotExpOptions& options, SolverWorkspace& workspace,
+                 BigDotExpResult& result);
 
 /// Convenience overload: Phi given as a sparse CSR matrix (native SpMV and
 /// SpMM kernels). If kappa <= 0 it is estimated with power iteration

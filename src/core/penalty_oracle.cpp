@@ -115,21 +115,6 @@ SketchedTaylorOracle::SketchedTaylorOracle(
   PSDP_CHECK(dot_eps_ > 0 && dot_eps_ < 1,
              "SketchedTaylorOracle: dot_eps must lie in (0,1)");
   dot_options_.eps = dot_eps_;
-  // Psi as an implicit operator: Psi v = sum_i x_i (Q_i (Q_i^T v)), in both
-  // matvec and panel form; the panel form draws its scratch from the shared
-  // SolverWorkspace. Both closures read x_work_, so the oracle must stay
-  // put (non-copyable by the base class).
-  const sparse::FactorizedSet& set = instance.set();
-  psi_op_ = [&set, this](const Vector& v, Vector& y) {
-    set.weighted_apply(x_work_, v, y);
-  };
-  psi_block_op_ = [&set, this](const linalg::Matrix& v, linalg::Matrix& y) {
-    set.weighted_apply_block(x_work_, v, y, workspace_->factor);
-  };
-  psi_block_op_f_ = [&set, this](const linalg::MatrixF& v,
-                                 linalg::MatrixF& y) {
-    set.weighted_apply_block_f(x_work_, v, y, workspace_->factor);
-  };
 }
 
 Real SketchedTaylorOracle::constraint_lambda_max(Index i) const {
@@ -189,8 +174,11 @@ void SketchedTaylorOracle::compute(const Vector& x, std::uint64_t round,
   // Fresh sketch per round: independent noise, per the union bound.
   BigDotExpOptions round_options = dot_options_;
   round_options.seed = rand::stream_seed(dot_options_.seed, round);
-  big_dot_exp(psi_op_, psi_block_op_, dim(), kappa, instance_->sharded(),
-              round_options, *workspace_, result_, &psi_block_op_f_);
+  // The set form: big_dot_exp applies Psi = sum_i x_i A_i itself, one
+  // implicit-Psi scratch per slot, so the round's panels may run
+  // concurrently.
+  big_dot_exp(x_work_, kappa, instance_->set(), round_options, *workspace_,
+              result_);
   // Hand the caller the fresh dots by swapping storage: the batch keeps a
   // same-sized buffer across rounds, so neither side reallocates.
   std::swap(out.dots, result_.dots);

@@ -21,8 +21,8 @@
 //                            exponential of the implicit Psi operator.
 //                            Nearly-linear work, never forms an m x m
 //                            matrix, (1 +- dot_eps) multiplicative noise.
-//                            Owns the psi_op/psi_block_op panel operators
-//                            and their reusable workspaces.
+//                            Hands bigDotExp the weights; its set form
+//                            applies the implicit Psi itself.
 //  * ScalarSoftmaxOracle  -- the positive-LP diagonal fast path: on
 //                            A_i = diag(P_{.,i}) the matrix exponential
 //                            collapses to scalar soft-max weights,
@@ -207,7 +207,7 @@ class SketchedTaylorOracle final : public PenaltyOracle {
   BigDotExpOptions dot_options_;
   Real dot_eps_ = 0;
   Real kappa_cap_ = 0;
-  /// The weights the implicit operators read; doubles as the diff cache of
+  /// The weights big_dot_exp applies Psi at; doubles as the diff cache of
   /// the incremental bounds (it always holds the last synced weights).
   Vector x_work_;
   Real trace_psi_ = 0;     ///< tracked Tr[Psi]
@@ -228,13 +228,6 @@ class SketchedTaylorOracle final : public PenaltyOracle {
   SolverWorkspace* workspace_ = nullptr;
   /// Persistent result (dots storage swaps with the caller's batch).
   BigDotExpResult result_;
-  linalg::SymmetricOp psi_op_;
-  linalg::BlockOp psi_block_op_;
-  /// Float32 panel form of the implicit Psi, handed to big_dot_exp for the
-  /// mixed-precision sketch mode (engaged only when
-  /// dot_options.panel_precision requests it and every gate holds; see
-  /// BigDotExpOptions::panel_precision). Always built -- it is one closure.
-  linalg::BlockOpF psi_block_op_f_;
 };
 
 /// Exact scalar oracle for positive LPs: A_i = diag(P_{.,i}) collapses the

@@ -9,6 +9,8 @@ std::atomic<std::uint64_t> CostMeter::depth_{0};
 
 namespace {
 thread_local bool t_depth_muted = false;  ///< see CostMeter::ScopedDepthMute
+/// See CostMeter::ScopedDepthCapture.
+thread_local std::uint64_t* t_depth_capture = nullptr;
 }  // namespace
 
 CostMeter::ScopedDepthMute::ScopedDepthMute() : prev_(t_depth_muted) {
@@ -16,6 +18,14 @@ CostMeter::ScopedDepthMute::ScopedDepthMute() : prev_(t_depth_muted) {
 }
 
 CostMeter::ScopedDepthMute::~ScopedDepthMute() { t_depth_muted = prev_; }
+
+CostMeter::ScopedDepthCapture::ScopedDepthCapture() : prev_(t_depth_capture) {
+  t_depth_capture = &depth_;
+}
+
+CostMeter::ScopedDepthCapture::~ScopedDepthCapture() {
+  t_depth_capture = prev_;
+}
 
 void CostMeter::reset() {
   work_.store(0, std::memory_order_relaxed);
@@ -31,7 +41,12 @@ void CostMeter::add_depth(std::uint64_t d) {
   // a parallel region run concurrently, so their depth is not on the
   // critical path (the driving step charges it once instead). Without this
   // guard, r-way-parallel kernel fan-outs inflate depth r-fold.
-  if (t_depth_muted || ThreadPool::current_thread_is_worker()) return;
+  if (t_depth_muted) return;
+  if (t_depth_capture != nullptr) {
+    *t_depth_capture += d;
+    return;
+  }
+  if (ThreadPool::current_thread_is_worker()) return;
   depth_.fetch_add(d, std::memory_order_relaxed);
 }
 

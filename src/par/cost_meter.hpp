@@ -21,6 +21,12 @@
 //    thread takes chunks too -- mutes its thread for the region
 //    (ScopedDepthMute) and charges the region's depth itself, so the
 //    count never depends on the pool width.
+//  * Independent chains charge the depth of one chain. A fused bigDotExp
+//    round runs its sketch panels as such chains (one Taylor recurrence
+//    each, possibly on concurrent slots): every panel runs under a
+//    ScopedDepthCapture, which keeps its depth off the counter, and the
+//    driving thread then charges the deepest panel's capture once. A round's
+//    depth is therefore the same at every thread and slot count.
 //  * One implicit Psi application (FactorizedSet::weighted_apply,
 //    weighted_apply_block and its float twin) charges depth
 //      reduction_depth(m) + reduction_depth(max_r sum_i nnz(Q_i[r,:]))
@@ -72,6 +78,24 @@ class CostMeter {
 
    private:
     bool prev_;
+  };
+
+  /// While alive, add_depth calls from the constructing thread -- worker
+  /// or not, unless muted -- are summed into depth() instead of the
+  /// counter (see the charging convention above). Nests: the innermost
+  /// capture takes the charges.
+  class ScopedDepthCapture {
+   public:
+    ScopedDepthCapture();
+    ~ScopedDepthCapture();
+    ScopedDepthCapture(const ScopedDepthCapture&) = delete;
+    ScopedDepthCapture& operator=(const ScopedDepthCapture&) = delete;
+
+    std::uint64_t depth() const { return depth_; }
+
+   private:
+    std::uint64_t depth_ = 0;
+    std::uint64_t* prev_;
   };
 
  private:

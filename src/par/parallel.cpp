@@ -45,6 +45,10 @@ void set_num_threads(int threads) {
   g_pool.reset();  // lazily recreated with the new size
 }
 
+int available_width() {
+  return ThreadPool::current_thread_runs_inline() ? 1 : num_threads();
+}
+
 ThreadPool& global_pool() {
   std::lock_guard<std::mutex> lock(g_pool_mutex);
   if (!g_pool) {

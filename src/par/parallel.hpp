@@ -44,6 +44,11 @@ void set_num_threads(int threads);
 /// safe to call from several threads at once.
 ThreadPool& global_pool();
 
+/// Threads a region opened on this thread actually runs on: num_threads(),
+/// or 1 where regions run inline (nested in another region, on a pool
+/// worker, or under regions_inlined()).
+int available_width();
+
 /// Minimum number of loop iterations per chunk; below this a loop runs
 /// serially. Tuned so tiny vectors do not pay fork-join overhead. This is
 /// the registry default of the `grain` tunable; loops read the live value

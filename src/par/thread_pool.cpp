@@ -44,6 +44,10 @@ bool ThreadPool::on_worker_thread() const { return t_owner == this; }
 
 bool ThreadPool::current_thread_is_worker() { return t_owner != nullptr; }
 
+bool ThreadPool::current_thread_runs_inline() {
+  return t_owner != nullptr || t_submitting || t_regions_inlined;
+}
+
 void ThreadPool::drain(Batch& batch) {
   while (true) {
     const Index k = batch.next.fetch_add(1, std::memory_order_relaxed);

@@ -115,6 +115,11 @@ class ThreadPool {
   /// uses this to enforce its driving-thread-only depth convention).
   static bool current_thread_is_worker();
 
+  /// True when a batch submitted from the current thread would run inline
+  /// whatever the pool: the thread is a worker, is inside its own
+  /// run_batch, or has regions_inlined() set.
+  static bool current_thread_runs_inline();
+
  private:
   struct Batch {
     TaskRef task;

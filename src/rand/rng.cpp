@@ -1,14 +1,6 @@
 #include "rand/rng.hpp"
 
-#include <cmath>
-
 namespace psdp::rand {
-
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
 
 std::uint64_t splitmix64(std::uint64_t& state) {
   std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
@@ -22,51 +14,11 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& word : state_) word = splitmix64(s);
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-Real Rng::uniform() {
-  // 53 random bits into [0, 1).
-  return static_cast<Real>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-Real Rng::uniform(Real lo, Real hi) {
-  PSDP_CHECK(lo <= hi, "uniform(lo, hi) requires lo <= hi");
-  if (lo == hi) return lo;  // degenerate interval: deterministic value
-  return lo + (hi - lo) * uniform();
-}
-
 Index Rng::uniform_index(Index n) {
   PSDP_CHECK(n > 0, "uniform_index requires n > 0");
   // Rejection-free modulo is fine here: n is tiny relative to 2^64, so the
   // modulo bias is far below statistical noise in any experiment we run.
   return static_cast<Index>(next_u64() % static_cast<std::uint64_t>(n));
-}
-
-Real Rng::normal() {
-  if (has_spare_) {
-    has_spare_ = false;
-    return spare_;
-  }
-  Real u, v, s;
-  do {
-    u = uniform(-1.0, 1.0);
-    v = uniform(-1.0, 1.0);
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  const Real factor = std::sqrt(-2.0 * std::log(s) / s);
-  spare_ = v * factor;
-  has_spare_ = true;
-  return u * factor;
 }
 
 Real Rng::normal(Real mean, Real stddev) { return mean + stddev * normal(); }
@@ -76,7 +28,7 @@ Rng Rng::split() {
   // repeated splits yield distinct streams.
   const std::uint64_t a = next_u64();
   const std::uint64_t b = next_u64();
-  return Rng(a ^ rotl(b, 32) ^ 0xd1b54a32d192ed03ULL);
+  return Rng(a ^ detail::rotl(b, 32) ^ 0xd1b54a32d192ed03ULL);
 }
 
 std::uint64_t stream_seed(std::uint64_t base_seed, std::uint64_t stream) {

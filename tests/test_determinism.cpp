@@ -4,16 +4,21 @@
 // transpose index, so K = 1 is just a one-shard partition and a run at any
 // width matches the one-thread run.
 //
-// The grid below is K in {1, 4} x threads in {1, 2, 4} x {double, float32}
-// panels, each compared bitwise against K = 1 at one thread, on sets whose
-// sums and transposes would split under a pool-width-shaped partition:
+// The grid below is K in {1, 4} x threads in {1, 2, 3, 4} x {double,
+// float32} panels, each compared bitwise against K = 1 at one thread, on
+// sets whose sums and transposes would split under a pool-width-shaped
+// partition, and whose fused rounds run their panels on as many slots as
+// the width allows (three threads split the panels unevenly):
 //  * tall (m = 128, rank 4): each 16-wide panel's trace folds 2048 terms;
 //  * non-tall (m = 24, rank 8): the factors' rows are fewer than four
 //    times their columns;
+//  * partial (m = 256, 72 sketch rows): four full panels and a last one of
+//    8 rows;
 //  * big (m = 2048, 128 sketch rows): each panel's trace spans two fixed
 //    pieces; oracle rounds only.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -21,6 +26,7 @@
 #include "core/optimize.hpp"
 #include "core/penalty_oracle.hpp"
 #include "par/parallel.hpp"
+#include "rand/rng.hpp"
 #include "util/tunables.hpp"
 
 namespace psdp::core {
@@ -36,6 +42,8 @@ const Case kTall{"tall", {.n = 8, .m = 128, .rank = 4, .nnz_per_column = 6,
                           .seed = 41}, 32};
 const Case kNonTall{"non-tall", {.n = 8, .m = 24, .rank = 8,
                                  .nnz_per_column = 4, .seed = 42}, 0};
+const Case kPartial{"partial", {.n = 8, .m = 256, .rank = 4,
+                                .nnz_per_column = 6, .seed = 44}, 72};
 const Case kBig{"big", {.n = 6, .m = 2048, .rank = 2, .nnz_per_column = 8,
                         .seed = 43}, 128};
 
@@ -117,7 +125,7 @@ void expect_grid_bitwise(const Case& c, const Signature& signature) {
     const std::vector<Real> want = signature(one_shard, c, precision);
     for (const FactorizedPackingInstance* instance :
          {&one_shard, &four_shards}) {
-      for (const int threads : {1, 2, 4}) {
+      for (const int threads : {1, 2, 3, 4}) {
         par::set_num_threads(threads);
         EXPECT_EQ(signature(*instance, c, precision), want)
             << c.name << " " << panel_precision_name(precision) << " K "
@@ -128,14 +136,74 @@ void expect_grid_bitwise(const Case& c, const Signature& signature) {
 }
 
 TEST(Determinism, OracleRoundsBitwiseAcrossShardsAndThreads) {
-  for (const Case* c : {&kTall, &kNonTall, &kBig}) {
+  for (const Case* c : {&kTall, &kNonTall, &kPartial, &kBig}) {
     expect_grid_bitwise(*c, oracle_rounds);
   }
 }
 
 TEST(Determinism, PhasedSolveBitwiseAcrossShardsAndThreads) {
-  for (const Case* c : {&kTall, &kNonTall}) {
+  for (const Case* c : {&kTall, &kNonTall, &kPartial}) {
     expect_grid_bitwise(*c, phased_solve);
+  }
+}
+
+// The closure overload runs a fused round's panels on one slot, the
+// oracle's set form on as many as the width allows; given the same Psi
+// they are the same bits. A traced replay of an oracle round through the
+// closure overload relies on this.
+TEST(Determinism, ClosureOverloadIsBitwiseTheOracleRound) {
+  Restore restore;
+  for (const Case* c : {&kPartial, &kBig}) {
+    const FactorizedPackingInstance instance(
+        apps::random_factorized(c->generator).set(), 4);
+    const sparse::FactorizedSet& set = instance.set();
+    Vector x(instance.size());
+    for (Index i = 0; i < x.size(); ++i) {
+      x[i] = (1.0 + 0.25 * static_cast<Real>(i % 5)) /
+             static_cast<Real>(instance.size());
+    }
+    for (const PanelPrecision precision : kPrecisions) {
+      for (const int threads : {2, 4}) {
+        par::set_num_threads(threads);
+        SketchedOracleOptions options;
+        options.eps = 0.3;
+        options.dot_options = dot_options(*c, precision);
+        SketchedTaylorOracle oracle(instance, options);
+        PenaltyBatch batch;
+        oracle.compute(x, 5, batch);
+
+        // The oracle's kappa, round seed and dot accuracy.
+        BigDotExpOptions round = options.dot_options;
+        round.eps = options.eps / 2;
+        round.seed = rand::stream_seed(options.dot_options.seed, 5);
+        const Real kappa = std::max<Real>(
+            0, std::min(oracle.tracked_trace(), oracle.tracked_lambda_bound()));
+        SolverWorkspace workspace;
+        const linalg::SymmetricOp psi = [&](const Vector& v, Vector& y) {
+          set.weighted_apply(x, v, y);
+        };
+        const linalg::BlockOp psi_block = [&](const linalg::Matrix& v,
+                                              linalg::Matrix& y) {
+          set.weighted_apply_block(x, v, y, workspace.factor);
+        };
+        const linalg::BlockOpF psi_block_f = [&](const linalg::MatrixF& v,
+                                                 linalg::MatrixF& y) {
+          set.weighted_apply_block_f(x, v, y, workspace.factor);
+        };
+        BigDotExpResult replay;
+        big_dot_exp(psi, psi_block, instance.dim(), kappa, instance.sharded(),
+                    round, workspace, replay, &psi_block_f);
+        ASSERT_EQ(replay.panel_precision, precision);
+        const std::vector<Real> want(batch.dots.data(),
+                                     batch.dots.data() + batch.dots.size());
+        const std::vector<Real> got(replay.dots.data(),
+                                    replay.dots.data() + replay.dots.size());
+        EXPECT_EQ(got, want) << c->name << " "
+                             << panel_precision_name(precision) << " threads "
+                             << threads;
+        EXPECT_EQ(replay.trace_exp, batch.trace);
+      }
+    }
   }
 }
 

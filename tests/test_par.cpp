@@ -260,6 +260,74 @@ TEST(WorkGate, TinyOracleRoundDispatchesNothing) {
   EXPECT_GT(batch.trace, 0);
 }
 
+/// An oracle on the benchmark's shard-rounds shape: m = 2048, n = 64,
+/// rank 4, K = 4, 128 sketch rows (8 panels of 16).
+struct ShardRound {
+  core::FactorizedPackingInstance instance;
+  core::SketchedTaylorOracle oracle;
+  linalg::Vector x;
+
+  explicit ShardRound(Index sketch_rows)
+      : instance(apps::random_factorized(shape()).set(), 4),
+        oracle(instance, options(sketch_rows)),
+        x(instance.size()) {
+    x.fill(0.05 / static_cast<Real>(instance.size()));
+  }
+
+  static apps::FactorizedOptions shape() {
+    apps::FactorizedOptions shape;
+    shape.m = 2048;
+    shape.n = 64;
+    shape.rank = 4;
+    shape.nnz_per_column = 64;
+    return shape;
+  }
+
+  static core::SketchedOracleOptions options(Index sketch_rows) {
+    core::SketchedOracleOptions options;
+    options.eps = 0.1;
+    options.dot_options.sketch_rows_override = sketch_rows;
+    return options;
+  }
+};
+
+// A round on the shard shape runs its 8 panels on two concurrent slots:
+// one pool region, where the panel-by-panel schedule forked per Psi apply,
+// Taylor step, trace fold and dots sweep (144 regions at 2 threads).
+TEST(WorkGate, ShardRoundRunsItsPanelsInOneRegion) {
+  ThreadGuard guard;
+  set_num_threads(2);
+  ShardRound round(128);
+  core::PenaltyBatch batch;
+  round.oracle.compute(round.x, 0, batch);  // sizes the slots
+  const std::uint64_t before = global_pool().dispatched_batches();
+  round.oracle.compute(round.x, 1, batch);
+  const std::uint64_t regions = global_pool().dispatched_batches() - before;
+  EXPECT_GE(regions, 1u);
+  EXPECT_LE(regions, 4u);
+  EXPECT_GT(batch.trace, 0);
+}
+
+// The panels of a fused round are independent Taylor chains: the round
+// charges one chain's depth -- the depth of a one-panel round -- at every
+// width, whether its 8 panels run on one slot or several.
+TEST(CostMeter, FusedRoundChargesOnePanelChainAtEveryWidth) {
+  ThreadGuard guard;
+  const auto round_depth = [](Index sketch_rows, int threads) {
+    set_num_threads(threads);
+    ShardRound round(sketch_rows);
+    core::PenaltyBatch batch;
+    CostMeter::reset();
+    round.oracle.compute(round.x, 1, batch);
+    return CostMeter::snapshot().depth;
+  };
+  const std::uint64_t one_panel = round_depth(16, 1);
+  EXPECT_GT(one_panel, 0u);
+  for (const int threads : {1, 2, 3, 4}) {
+    EXPECT_EQ(round_depth(128, threads), one_panel) << threads << " threads";
+  }
+}
+
 // ... while work well above the gate still fans out.
 TEST(WorkGate, LargeSpmmStillDispatches) {
   ThreadGuard guard;

@@ -24,6 +24,7 @@
 #include "core/certificates.hpp"
 #include "core/optimize.hpp"
 #include "linalg/taylor.hpp"
+#include "par/cost_meter.hpp"
 #include "par/parallel.hpp"
 #include "rand/rng.hpp"
 #include "simd/simd.hpp"
@@ -341,6 +342,25 @@ TEST(SimdBigDot, Float32FallsBackWhenAGateFails) {
   unfused.fuse_dots = false;
   unfused.panel_precision = core::PanelPrecision::kFloat32;
   EXPECT_EQ(fx.run(unfused).panel_precision, core::PanelPrecision::kDouble);
+}
+
+// Precision changes constants, not the metered model: a float32 round
+// charges exactly the work of the same round in double (the trace
+// reduction once per round, not once more per panel).
+TEST(SimdBigDot, Float32ChargesTheDoubleWork) {
+  BigDotFixture fx;
+  core::BigDotExpOptions options = blocked_options();
+  options.sketch_rows_override = 64;
+  const auto metered_work = [&](core::PanelPrecision precision) {
+    options.panel_precision = precision;
+    par::CostMeter::reset();
+    const core::BigDotExpResult result = fx.run(options);
+    EXPECT_EQ(result.panel_precision, precision);
+    return par::CostMeter::snapshot().work;
+  };
+  const std::uint64_t double_work = metered_work(core::PanelPrecision::kDouble);
+  EXPECT_GT(double_work, 0u);
+  EXPECT_EQ(metered_work(core::PanelPrecision::kFloat32), double_work);
 }
 
 TEST(SimdSolvers, Float32ModeKeepsEverySolverVariantCertified) {
