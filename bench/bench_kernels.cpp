@@ -140,7 +140,7 @@ BENCHMARK(BM_SparseMatvec)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 void BM_JlSketchApply(benchmark::State& state) {
   const Index m = state.range(0);
   const Index rows = 128;
-  const rand::GaussianSketch pi(rows, m, 7);
+  const rand::SignSketch pi(rows, m, 7);
   std::vector<Real> x(static_cast<std::size_t>(m), 1.0);
   std::vector<Real> y(static_cast<std::size_t>(rows));
   for (auto _ : state) {
@@ -366,8 +366,8 @@ BlockSweepResult run_block_sweep(bool smoke) {
                                           linalg::Matrix& y) {
     phi.apply_block(x, y);
   };
-  const rand::GaussianSketch sketch =
-      rand::GaussianSketch::deferred(r, m, 2024);
+  const rand::SignSketch sketch =
+      rand::SignSketch::deferred(r, m, 2024);
 
   BlockSweepResult out;
   std::vector<SweepRow>& rows = out.rows;

@@ -35,6 +35,13 @@ using linalg::Matrix;
 /// explicit wrapper.
 inline constexpr Real kHalfScale = 0.5;
 
+/// A round whose estimates overflow double is rerun on a sketch scaled by
+/// 2^-kRescaleStep, then 2^-2 kRescaleStep, ..., at most kMaxRescales
+/// times (see BigDotExpResult::scale_exponent). The last scale, 2^-768,
+/// keeps every sketch entry a normal double.
+inline constexpr int kRescaleStep = 256;
+inline constexpr int kMaxRescales = 3;
+
 /// Work-gated grain of a per-constraint sweep against `width` sketch
 /// columns: a constraint costs about width x nnz(Q_i) multiply-adds.
 Index constraint_grain(const sparse::FactorizedSet& as, Index width) {
@@ -46,17 +53,19 @@ Index constraint_grain(const sparse::FactorizedSet& as, Index width) {
 /// p_hat(Phi/2)^T pi_j = p_hat(Phi/2) pi_j (Phi symmetric), one truncated-
 /// Taylor application per row, all rows in parallel. This is the
 /// single-vector reference path (block_size 1), kept verbatim as the
-/// correctness baseline for the blocked kernels.
+/// correctness baseline for the blocked kernels. Every sketch entry is
+/// multiplied by `scale`, a power of two.
 std::vector<Real> sketch_times_exp_half(const linalg::SymmetricOp& phi,
                                         Index dim, Index rows, Index degree,
-                                        std::uint64_t seed, bool exact) {
+                                        std::uint64_t seed, bool exact,
+                                        Real scale) {
   std::vector<Real> s(static_cast<std::size_t>(rows * dim));
   // Half-scaled operator: Lemma 4.2 is applied to B = Phi/2.
   const linalg::SymmetricOp half = [&phi](const Vector& x, Vector& y) {
     phi(x, y);
     y.scale(0.5);
   };
-  std::optional<rand::GaussianSketch> pi;
+  std::optional<rand::SignSketch> pi;
   if (!exact) pi.emplace(rows, dim, seed);
 
   par::global_pool();  // warm up outside the loop (lazy init)
@@ -65,10 +74,12 @@ std::vector<Real> sketch_times_exp_half(const linalg::SymmetricOp& phi,
   par::parallel_for(0, rows, [&](Index j) {
     Vector x(dim);
     if (exact) {
-      x[j] = 1;  // identity sketch: row j of p_hat itself
+      x[j] = scale;  // identity sketch: row j of p_hat itself
     } else {
       const auto row = pi->row(j);
-      for (Index i = 0; i < dim; ++i) x[i] = row[static_cast<std::size_t>(i)];
+      for (Index i = 0; i < dim; ++i) {
+        x[i] = scale * row[static_cast<std::size_t>(i)];
+      }
     }
     Vector y(dim);
     linalg::apply_exp_taylor(half, degree, x, y);
@@ -80,18 +91,20 @@ std::vector<Real> sketch_times_exp_half(const linalg::SymmetricOp& phi,
 
 /// Fill x_panel with sketch rows [j0, j0 + b): identity columns when the
 /// sketch is exact (exactness implies rows == dim, so j0 + t < dim),
-/// deferred Gaussian rows otherwise. Reuses x_panel's storage (capacity-
-/// preserving reshape). Shared by the two-pass and fused blocked kernels,
-/// which must generate bit-identical panels.
-void fill_sketch_panel(const std::optional<rand::GaussianSketch>& pi,
-                       bool exact, Index dim, Index j0, Index b,
+/// deferred sign rows otherwise, every entry times `scale` (a power of
+/// two). Reuses x_panel's storage (capacity-preserving reshape). Shared by
+/// the two-pass and fused blocked kernels, which must generate
+/// bit-identical panels.
+void fill_sketch_panel(const std::optional<rand::SignSketch>& pi,
+                       bool exact, Index dim, Index j0, Index b, Real scale,
                        Matrix& x_panel) {
   if (exact) {
     x_panel.reshape(dim, b);
     x_panel.fill(0);
-    for (Index t = 0; t < b; ++t) x_panel(j0 + t, t) = 1;
+    for (Index t = 0; t < b; ++t) x_panel(j0 + t, t) = scale;
   } else {
     pi->fill_block(j0, b, x_panel);
+    if (scale != 1) x_panel.scale(scale);
   }
 }
 
@@ -104,15 +117,16 @@ void fill_sketch_panel(const std::optional<rand::GaussianSketch>& pi,
 /// span.
 std::vector<Real> sketch_times_exp_half_blocked(
     const linalg::BlockOp& phi_block, Index dim, Index rows, Index degree,
-    std::uint64_t seed, bool exact, Index block, SolverWorkspace& ws) {
+    std::uint64_t seed, bool exact, Real scale, Index block,
+    SolverWorkspace& ws) {
   std::vector<Real> st(static_cast<std::size_t>(dim * rows));
-  std::optional<rand::GaussianSketch> pi;
-  if (!exact) pi.emplace(rand::GaussianSketch::deferred(rows, dim, seed));
+  std::optional<rand::SignSketch> pi;
+  if (!exact) pi.emplace(rand::SignSketch::deferred(rows, dim, seed));
 
   par::global_pool();  // warm up outside the loop (lazy init)
   for (Index j0 = 0; j0 < rows; j0 += block) {
     const Index b = std::min(block, rows - j0);
-    fill_sketch_panel(pi, exact, dim, j0, b, ws.x_panel);
+    fill_sketch_panel(pi, exact, dim, j0, b, scale, ws.x_panel);
     linalg::apply_exp_taylor_block(phi_block, degree, ws.x_panel, ws.y_panel,
                                    ws, kHalfScale);
     par::parallel_for(0, dim, [&](Index i) {
@@ -155,12 +169,16 @@ void accumulate_dots_reference(const std::vector<Real>& s, Index dim, Index r,
 
 /// Phi = sum_i x_i Q_i Q_i^T over the set a round dots against, applied
 /// with the implicit-Psi scratch of the slot it runs in. Concurrent slots
-/// share nothing through it -- unlike a caller's closure -- which is what
-/// licenses panel-parallel rounds.
+/// share nothing through it but `float_values`, slot 0's scratch, whose
+/// float value copies are built before the slots start and only read
+/// after; unlike a caller's closure, that licenses panel-parallel rounds.
+/// The matvec keeps a private scratch per call: the reference path runs
+/// its rows concurrently.
 struct SetPhi {
   const sparse::FactorizedSet* set;
   const Vector* x;
   sparse::FactorizedSet::BlockWorkspace* scratch;
+  const sparse::FactorizedSet::BlockWorkspace* float_values;
 
   void operator()(const Vector& v, Vector& y) const {
     set->weighted_apply(*x, v, y);
@@ -169,7 +187,7 @@ struct SetPhi {
     set->weighted_apply_block(*x, v, y, *scratch);
   }
   void operator()(const linalg::MatrixF& v, linalg::MatrixF& y) const {
-    set->weighted_apply_block_f(*x, v, y, *scratch);
+    set->weighted_apply_block_f(*x, v, y, *scratch, *float_values);
   }
 };
 
@@ -185,7 +203,8 @@ struct PanelPhi {
 /// The fixed inputs of one fused round.
 struct FusedRound {
   const sparse::FactorizedSet& as;
-  const std::optional<rand::GaussianSketch>& pi;  ///< empty when exact
+  const std::optional<rand::SignSketch>& pi;  ///< empty when exact
+  Real scale;  ///< power of two every sketch entry is multiplied by
   Index dim;
   Index rows;
   Index degree;
@@ -207,19 +226,23 @@ struct FusedRound {
 /// In float32 (the mixed-precision sketch mode) the panel is generated in
 /// double -- the same seed stream, so bit-identical to the double path's --
 /// and rounded once to float; the recurrence and the gather then run on
-/// float panels, and every reduction that feeds a certificate is a
-/// compensated *double* sum over the float data (sum_sq_f), so float error
-/// enters only as O(eps_f) panel rounding, inside the margin the JL noise
-/// budget already absorbs (docs/noisy_oracle_margin.md). Precision changes
-/// constants, not the metered work/depth.
+/// float panels, the gather over the float transpose values of `shared`
+/// (slot 0's implicit-Psi scratch), and every reduction that feeds a
+/// certificate is a compensated *double* sum over the float data
+/// (sum_sq_f), so float error enters only as O(eps_f) panel rounding,
+/// inside the margin the JL noise budget already absorbs
+/// (docs/noisy_oracle_margin.md). Precision changes constants, not the
+/// metered work/depth.
 void sweep_panel(const FusedRound& round, Index p, const linalg::BlockOp& phi,
                  const linalg::BlockOpF* phi_f, PanelWorkspace& w,
+                 const sparse::FactorizedSet::BlockWorkspace& shared,
                  Real& trace_share, Real* dot_shares) {
   const Index dim = round.dim;
   const Index j0 = p * round.block;
   const Index b = std::min(round.block, round.rows - j0);
   const simd::KernelTable& kt = simd::active_kernels();
-  fill_sketch_panel(round.pi, !round.pi.has_value(), dim, j0, b, w.x_panel);
+  fill_sketch_panel(round.pi, !round.pi.has_value(), dim, j0, b, round.scale,
+                    w.x_panel);
   if (round.float_panels) {
     w.x_panel_f.reshape(dim, b);
     kt.convert_d2f(w.x_panel.data(), w.x_panel_f.data(), dim * b);
@@ -245,7 +268,7 @@ void sweep_panel(const FusedRound& round, Index p, const linalg::BlockOp& phi,
       acc.resize(static_cast<std::size_t>(k * b));
       kt.gather_panel_f(q.transpose_offsets().data(),
                         q.transpose_rows().data(),
-                        w.factor.float_values[at].t_values.data(), 0, k, b,
+                        shared.float_values[at].t_values.data(), 0, k, b,
                         w.y_panel_f.data(), acc.data());
       dot_shares[i] = kt.sum_sq_f(acc.data(), k * b);
     } else {
@@ -312,8 +335,7 @@ Real sketch_exp_dots_fused(const FusedRound& round, const PanelPhi& phi,
       w.accumulators.resize(static_cast<std::size_t>(n));
       w.accumulators_f.resize(static_cast<std::size_t>(n));
     }
-    if (round.float_panels) as.ensure_float_values(w.factor);
-    const SetPhi set_phi{&as, phi.set_weights, &w.factor};
+    const SetPhi set_phi{&as, phi.set_weights, &w.factor, &ws.factor};
     linalg::BlockOp own;
     linalg::BlockOpF own_f;
     if (phi.set_weights != nullptr) {
@@ -326,11 +348,14 @@ Real sketch_exp_dots_fused(const FusedRound& round, const PanelPhi& phi,
     for (Index p = s * panels / slots; p < (s + 1) * panels / slots; ++p) {
       const auto at = static_cast<std::size_t>(p);
       par::CostMeter::ScopedDepthCapture chain;
-      sweep_panel(round, p, block, block_f, w, ws.panel_trace[at],
+      sweep_panel(round, p, block, block_f, w, ws.factor, ws.panel_trace[at],
                   ws.panel_dots.data() + p * n);
       ws.panel_depth[at] = chain.depth();
     }
   };
+  // One float copy of the factor values per round, slot 0's, built before
+  // any slot starts; every slot reads it.
+  if (round.float_panels) as.ensure_float_values(ws.factor);
   par::global_pool();  // warm up outside the loop (lazy init)
   if (slots == 1) {
     run_slot(0);
@@ -386,6 +411,15 @@ void accumulate_dots_blocked(const std::vector<Real>& st, Index r,
   }, constraint_grain(as, r));
 }
 
+/// Whether a round's trace and dots estimates are all finite.
+bool estimates_finite(const BigDotExpResult& result) {
+  if (!std::isfinite(result.trace_exp)) return false;
+  for (Index i = 0; i < result.dots.size(); ++i) {
+    if (!std::isfinite(result.dots[i])) return false;
+  }
+  return true;
+}
+
 /// The workspace form behind every overload. `phi_panel.set_weights` is
 /// set only by the set form, whose Phi is reentrant.
 void big_dot_exp_impl(const linalg::SymmetricOp& phi,
@@ -435,68 +469,86 @@ void big_dot_exp_impl(const linalg::SymmetricOp& phi,
                     : std::min<Index>(kDefaultBlockSize, r);
   block = std::min(block, r);
   result.block_size = block;
-  result.fused = false;
 
   // The float32 gate (see BigDotExpOptions::panel_precision): every leg
   // must hold or the call silently runs the double path -- and records
   // that it did, so callers and benches can tell which precision a result
   // carries.
-  const bool float_panels =
+  const bool float_gate =
       options.panel_precision == PanelPrecision::kFloat32 &&
       phi_block_f != nullptr && static_cast<bool>(*phi_block_f) &&
       block > 1 && options.fuse_dots &&
       options.eps >= options.float_panel_min_eps;
-  result.panel_precision =
-      float_panels ? PanelPrecision::kFloat32 : PanelPrecision::kDouble;
 
   result.dots.resize(as.size());
-  if (block == 1) {
-    // Reference path: r independent Taylor matvec chains, r x m layout.
-    const std::vector<Real> s = sketch_times_exp_half(
-        phi, dim, r, result.taylor_degree, options.seed, result.exact_sketch);
-    // Tr[exp(Phi)] = ||exp(Phi/2)||_F^2 ~ ||S||_F^2.
-    result.trace_exp = par::parallel_sum(0, r * dim, [&](Index k) {
-      return sq(s[static_cast<std::size_t>(k)]);
-    });
-    accumulate_dots_reference(s, dim, r, as, result.dots);
-    // Critical path of the r concurrent Taylor chains: one chain of k-1
-    // matvecs (worker-side depth charges are dropped by the meter; the
-    // blocked path's chains charge their own depth from the driver).
-    par::CostMeter::add_depth(
-        static_cast<std::uint64_t>(result.taylor_degree - 1) *
-        (par::reduction_depth(dim) + 1));
-  } else if (options.fuse_dots) {
-    // Fused blocked path: dots and trace accumulate per panel, right after
-    // the panel's Taylor sweep -- no m x r buffer, no second pass over S.
-    result.fused = true;
-    std::optional<rand::GaussianSketch> pi;
-    if (!result.exact_sketch) {
-      pi.emplace(rand::GaussianSketch::deferred(r, dim, options.seed));
+  // One evaluation of the round, every sketch entry times `scale`.
+  const auto evaluate = [&](Real scale, bool float_panels) {
+    result.panel_precision =
+        float_panels ? PanelPrecision::kFloat32 : PanelPrecision::kDouble;
+    result.fused = false;
+    if (block == 1) {
+      // Reference path: r independent Taylor matvec chains, r x m layout.
+      const std::vector<Real> s =
+          sketch_times_exp_half(phi, dim, r, result.taylor_degree,
+                                options.seed, result.exact_sketch, scale);
+      // Tr[exp(Phi)] = ||exp(Phi/2)||_F^2 ~ ||S||_F^2.
+      result.trace_exp = par::parallel_sum(0, r * dim, [&](Index k) {
+        return sq(s[static_cast<std::size_t>(k)]);
+      });
+      accumulate_dots_reference(s, dim, r, as, result.dots);
+      // Critical path of the r concurrent Taylor chains: one chain of k-1
+      // matvecs (worker-side depth charges are dropped by the meter; the
+      // blocked path's chains charge their own depth from the caller).
+      par::CostMeter::add_depth(
+          static_cast<std::uint64_t>(result.taylor_degree - 1) *
+          (par::reduction_depth(dim) + 1));
+    } else if (options.fuse_dots) {
+      // Fused blocked path: dots and trace accumulate per panel, right
+      // after the panel's Taylor sweep -- no m x r buffer, no second pass
+      // over S.
+      result.fused = true;
+      std::optional<rand::SignSketch> pi;
+      if (!result.exact_sketch) {
+        pi.emplace(rand::SignSketch::deferred(r, dim, options.seed));
+      }
+      const FusedRound round{as, pi, scale, dim, r, result.taylor_degree,
+                             block, float_panels};
+      result.trace_exp =
+          sketch_exp_dots_fused(round, phi_panel, workspace, result.dots);
+    } else {
+      // Blocked path: panels of `block` sketch rows share each Phi
+      // traversal.
+      const std::vector<Real> st = sketch_times_exp_half_blocked(
+          phi_block, dim, r, result.taylor_degree, options.seed,
+          result.exact_sketch, scale, block, workspace);
+      result.trace_exp = par::parallel_sum(0, r * dim, [&](Index k) {
+        return sq(st[static_cast<std::size_t>(k)]);
+      });
+      accumulate_dots_blocked(st, r, as, result.dots);
     }
-    const FusedRound round{as,    pi,    dim,         r, result.taylor_degree,
-                           block, float_panels};
-    result.trace_exp =
-        sketch_exp_dots_fused(round, phi_panel, workspace, result.dots);
-  } else {
-    // Blocked path: panels of `block` sketch rows share each Phi traversal.
-    const std::vector<Real> st = sketch_times_exp_half_blocked(
-        phi_block, dim, r, result.taylor_degree, options.seed,
-        result.exact_sketch, block, workspace);
-    result.trace_exp = par::parallel_sum(0, r * dim, [&](Index k) {
-      return sq(st[static_cast<std::size_t>(k)]);
-    });
-    accumulate_dots_blocked(st, r, as, result.dots);
-  }
 
-  // Frobenius reduction for the trace; the Phi applications, Taylor panel
-  // arithmetic, sketch generation, and dots streaming charge themselves.
-  // The fused path has already charged its panel chain's reduction depth,
-  // so only the two separate final passes of the unfused layouts add depth
-  // here.
-  par::CostMeter::add_work(static_cast<std::uint64_t>(2 * r * dim));
-  if (!result.fused) {
-    par::CostMeter::add_depth(par::reduction_depth(dim) +
-                              par::reduction_depth(as.size()));
+    // Frobenius reduction for the trace; the Phi applications, Taylor
+    // panel arithmetic, sketch generation, and dots streaming charge
+    // themselves. The fused path has already charged its panel chain's
+    // reduction depth, so only the two separate final passes of the
+    // unfused layouts add depth here.
+    par::CostMeter::add_work(static_cast<std::uint64_t>(2 * r * dim));
+    if (!result.fused) {
+      par::CostMeter::add_depth(par::reduction_depth(dim) +
+                                par::reduction_depth(as.size()));
+    }
+  };
+
+  // exp(Phi/2) outgrows double once ||Phi|| runs far past kappa, as when
+  // weights keep growing past a solver's exit. Such a round is rerun on a
+  // scaled sketch, in double panels (a float one would underflow): every
+  // estimate then carries the square of the scale, exactly, and the
+  // solvers use only ratios of estimates.
+  for (int attempt = 0;; ++attempt) {
+    evaluate(std::ldexp(Real{1}, -kRescaleStep * attempt),
+             float_gate && attempt == 0);
+    result.scale_exponent = -2 * kRescaleStep * attempt;
+    if (estimates_finite(result) || attempt == kMaxRescales) break;
   }
 }
 
@@ -517,7 +569,7 @@ void big_dot_exp(const Vector& x, Real kappa, const sparse::FactorizedSet& as,
                  BigDotExpResult& result) {
   PSDP_CHECK(x.size() == as.size(), "big_dot_exp: weight length mismatch");
   // Slot 0's Phi, which also serves the reference and unfused paths.
-  const SetPhi set_phi{&as, &x, &workspace.factor};
+  const SetPhi set_phi{&as, &x, &workspace.factor, &workspace.factor};
   const linalg::SymmetricOp phi = std::cref(set_phi);
   const linalg::BlockOp phi_block = std::cref(set_phi);
   const linalg::BlockOpF phi_block_f = std::cref(set_phi);

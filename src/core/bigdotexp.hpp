@@ -128,6 +128,12 @@ struct BigDotExpResult {
   /// Panel precision that actually ran (kDouble when any float32 gate
   /// failed -- see BigDotExpOptions::panel_precision).
   PanelPrecision panel_precision = PanelPrecision::kDouble;
+  /// dots and trace_exp are the estimates times 2^scale_exponent. It is 0
+  /// unless the estimates overflow double (||Phi|| far beyond kappa); then
+  /// the round is rerun in double on the sketch times 2^-256, 2^-512 or
+  /// 2^-768 until they fit, and the exponent is twice that power. Ratios
+  /// of the estimates, all the solvers use, do not depend on it.
+  int scale_exponent = 0;
 };
 
 /// The scratch of one panel sweep: the sketch input and Taylor output
@@ -147,6 +153,8 @@ struct PanelWorkspace : linalg::TaylorBlockWorkspace {
   linalg::TaylorBlockWorkspaceF taylor_f;
   std::vector<std::vector<float>> accumulators_f;
   /// Scratch of FactorizedSet::weighted_apply_block (the implicit Psi).
+  /// A float32 round builds float value copies in slot 0's only; the
+  /// other slots read those.
   sparse::FactorizedSet::BlockWorkspace factor;
 };
 

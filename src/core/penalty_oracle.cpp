@@ -194,10 +194,13 @@ Real SketchedTaylorOracle::lambda_max(const Vector& weights) {
   // Lanczos handles the flat spectra Lemma 3.2 induces far better than
   // power iteration; ritz + residual is the certified upper bound, and a
   // further 0.1% inflation absorbs the (improbable) unlucky-start case.
+  // Each matvec takes its scratch from the workspace's implicit-Psi
+  // buffers, which no round is using between compute() calls.
   const sparse::FactorizedSet& set = instance_->set();
-  const linalg::SymmetricOp op = [&set, &weights](const Vector& v,
-                                                  Vector& y) {
-    set.weighted_apply(weights, v, y);
+  sparse::FactorizedSet::BlockWorkspace& scratch = workspace_->factor;
+  const linalg::SymmetricOp op = [&set, &weights, &scratch](const Vector& v,
+                                                            Vector& y) {
+    set.weighted_apply(weights, v, y, scratch);
   };
   linalg::LanczosOptions options;
   options.tol = 1e-10;

@@ -1,6 +1,10 @@
 #include "rand/jl.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <optional>
 
 #include "par/cost_meter.hpp"
 #include "par/parallel.hpp"
@@ -17,55 +21,95 @@ Index jl_rows(Index m, Real eps, Real delta) {
   return std::max<Index>(1, static_cast<Index>(std::ceil(r)));
 }
 
-GaussianSketch::GaussianSketch(Index rows, Index cols, std::uint64_t seed)
+namespace {
+
+/// Entries one draw signs, and streams fill_block advances together.
+constexpr Index kSignsPerDraw = 64;
+
+/// The bits of +1/sqrt(rows); an entry ORs its sign into bit 63.
+std::uint64_t scale_bits(Index rows) {
+  return std::bit_cast<std::uint64_t>(1.0 /
+                                      std::sqrt(static_cast<Real>(rows)));
+}
+
+/// The entry bit `bit` of `draw` signs: +scale when clear, -scale when set.
+inline Real signed_entry(std::uint64_t scale, std::uint64_t draw, Index bit) {
+  return std::bit_cast<Real>(scale | (((draw >> bit) & 1) << 63));
+}
+
+}  // namespace
+
+SignSketch::SignSketch(Index rows, Index cols, std::uint64_t seed)
     : rows_(rows), cols_(cols), seed_(seed) {
   PSDP_CHECK(rows >= 1 && cols >= 1, "sketch dimensions must be positive");
   data_.resize(static_cast<std::size_t>(rows * cols));
-  const Real scale = 1.0 / std::sqrt(static_cast<Real>(rows));
+  const std::uint64_t scale = scale_bits(rows);
   // One deterministic stream per row so generation parallelizes.
   par::parallel_for(0, rows, [&](Index j) {
     Rng rng(stream_seed(seed, static_cast<std::uint64_t>(j)));
     Real* out = data_.data() + j * cols;
-    for (Index i = 0; i < cols; ++i) out[i] = scale * rng.normal();
-  }, /*grain=*/1);
+    for (Index i0 = 0; i0 < cols; i0 += kSignsPerDraw) {
+      const std::uint64_t draw = rng.next_u64();
+      const Index width = std::min(kSignsPerDraw, cols - i0);
+      for (Index bit = 0; bit < width; ++bit) {
+        out[i0 + bit] = signed_entry(scale, draw, bit);
+      }
+    }
+  }, par::work_grain(rows, static_cast<Real>(rows * cols)));
   // Same generation charge as fill_block, so the reference and blocked
   // sketch paths report comparable model work.
   par::CostMeter::add_work(static_cast<std::uint64_t>(rows * cols));
 }
 
-GaussianSketch GaussianSketch::deferred(Index rows, Index cols,
-                                        std::uint64_t seed) {
+SignSketch SignSketch::deferred(Index rows, Index cols, std::uint64_t seed) {
   PSDP_CHECK(rows >= 1 && cols >= 1, "sketch dimensions must be positive");
-  GaussianSketch sketch;
+  SignSketch sketch;
   sketch.rows_ = rows;
   sketch.cols_ = cols;
   sketch.seed_ = seed;
   return sketch;
 }
 
-std::span<const Real> GaussianSketch::row(Index j) const {
+std::span<const Real> SignSketch::row(Index j) const {
   PSDP_CHECK(j >= 0 && j < rows_, "sketch row out of range");
   PSDP_CHECK(!data_.empty(), "sketch row: sketch is deferred (use fill_block)");
   return {data_.data() + j * cols_, static_cast<std::size_t>(cols_)};
 }
 
-void GaussianSketch::fill_block(Index first, Index count,
-                                linalg::Matrix& panel) const {
+void SignSketch::fill_block(Index first, Index count,
+                            linalg::Matrix& panel) const {
   PSDP_CHECK(first >= 0 && count >= 1 && first + count <= rows_,
              "fill_block: row range out of bounds");
   panel.reshape(cols_, count);  // capacity-preserving: no steady-state alloc
-  const Real scale = 1.0 / std::sqrt(static_cast<Real>(rows_));
-  // Regenerate each row from its own stream (identical values to row());
-  // the strided panel writes are cheap next to the Gaussian draws.
-  par::parallel_for(0, count, [&](Index t) {
-    Rng rng(stream_seed(seed_, static_cast<std::uint64_t>(first + t)));
-    Real* out = panel.data() + t;
-    for (Index i = 0; i < cols_; ++i) out[i * count] = scale * rng.normal();
-  }, /*grain=*/1);
+  const std::uint64_t scale = scale_bits(rows_);
+  // Streams t0 .. t0 + c advance together: one draw each signs the next 64
+  // panel rows, which are then written in order, c entries a row.
+  for (Index t0 = 0; t0 < count; t0 += kSignsPerDraw) {
+    const Index c = std::min(kSignsPerDraw, count - t0);
+    std::array<std::optional<Rng>, kSignsPerDraw> streams;
+    for (Index t = 0; t < c; ++t) {
+      streams[static_cast<std::size_t>(t)].emplace(
+          stream_seed(seed_, static_cast<std::uint64_t>(first + t0 + t)));
+    }
+    std::array<std::uint64_t, kSignsPerDraw> draws;
+    for (Index i0 = 0; i0 < cols_; i0 += kSignsPerDraw) {
+      for (Index t = 0; t < c; ++t) {
+        draws[static_cast<std::size_t>(t)] =
+            streams[static_cast<std::size_t>(t)]->next_u64();
+      }
+      const Index width = std::min(kSignsPerDraw, cols_ - i0);
+      for (Index bit = 0; bit < width; ++bit) {
+        Real* out = panel.data() + (i0 + bit) * count + t0;
+        for (Index t = 0; t < c; ++t) {
+          out[t] = signed_entry(scale, draws[static_cast<std::size_t>(t)], bit);
+        }
+      }
+    }
+  }
   par::CostMeter::add_work(static_cast<std::uint64_t>(count * cols_));
 }
 
-void GaussianSketch::apply(std::span<const Real> x, std::span<Real> y) const {
+void SignSketch::apply(std::span<const Real> x, std::span<Real> y) const {
   PSDP_CHECK(static_cast<Index>(x.size()) == cols_, "apply: x has wrong length");
   PSDP_CHECK(static_cast<Index>(y.size()) == rows_, "apply: y has wrong length");
   PSDP_CHECK(!data_.empty(), "apply: sketch is deferred (use fill_block)");
@@ -79,7 +123,7 @@ void GaussianSketch::apply(std::span<const Real> x, std::span<Real> y) const {
   par::CostMeter::add_depth(par::reduction_depth(cols_));
 }
 
-Real GaussianSketch::sketch_norm2(std::span<const Real> x) const {
+Real SignSketch::sketch_norm2(std::span<const Real> x) const {
   std::vector<Real> y(static_cast<std::size_t>(rows_));
   apply(x, y);
   Real acc = 0;

@@ -1,9 +1,11 @@
-// Johnson-Lindenstrauss Gaussian sketch (Theorem 4.1 uses it to reduce the
+// Johnson-Lindenstrauss sign sketch (Theorem 4.1 uses it to reduce the
 // m-dimensional Frobenius norms ||exp(Phi/2) Q_i||_F^2 to r = O(eps^-2 log m)
 // dimensions; see [DG03, IM98]).
 //
-// The sketch matrix Pi is r x m with i.i.d. N(0, 1/r) entries, so
-// E[||Pi v||^2] = ||v||^2 and each estimate is within (1 +- eps) with
+// The sketch matrix Pi is r x m with i.i.d. entries +-1/sqrt(r), each sign
+// a fair coin (Rademacher entries). E[||Pi v||^2] = ||v||^2, and the JL
+// bound holds as for Gaussian entries (Achlioptas 2003, "Database-friendly
+// random projections"): each estimate is within (1 +- eps) with
 // probability 1 - 1/poly(m) for r = c eps^-2 log m.
 #pragma once
 
@@ -22,18 +24,23 @@ namespace psdp::rand {
 /// Dasgupta-Gupta analysis.
 Index jl_rows(Index m, Real eps, Real delta = 1e-3);
 
-/// Dense Gaussian sketch. Rows are generated deterministically from the
-/// seed, so a sketch is reproducible and shareable across processes.
-class GaussianSketch {
+/// Dense sign sketch. Entry (j, i) is +1/sqrt(r) or -1/sqrt(r): its sign is
+/// bit (i mod 64) of draw floor(i / 64) of row j's stream
+/// Rng(stream_seed(seed, j)), OR-ed into the sign bit of 1/sqrt(r). Every
+/// entry is a pure function of (seed, j, i), so row(), apply(), the
+/// materialized constructor and fill_block under any split into panels see
+/// identical bits, at any thread count and on any ISA; a sketch is
+/// reproducible and shareable across processes.
+class SignSketch {
  public:
-  /// Builds an r x m sketch with N(0, 1/r) entries, materialized row-major.
-  GaussianSketch(Index rows, Index cols, std::uint64_t seed);
+  /// Builds an r x m sketch, materialized row-major.
+  SignSketch(Index rows, Index cols, std::uint64_t seed);
 
   /// A sketch whose entries are never materialized: rows are generated on
   /// demand by fill_block() straight into caller panels. row()/apply() are
   /// unavailable on a deferred sketch. This is the form the blocked
   /// bigDotExp path uses -- it touches each sketch row exactly once.
-  static GaussianSketch deferred(Index rows, Index cols, std::uint64_t seed);
+  static SignSketch deferred(Index rows, Index cols, std::uint64_t seed);
 
   Index rows() const { return rows_; }
   Index cols() const { return cols_; }
@@ -49,19 +56,23 @@ class GaussianSketch {
 
   /// Writes sketch rows [first, first + count) as the *columns* of `panel`,
   /// a row-major cols() x count matrix: panel(i, t) = Pi(first + t, i).
-  /// This is the layout the blocked Taylor kernels consume. Entries are
-  /// generated from the per-row seed streams, so every block decomposition
-  /// (and row()) sees identical values, and a deferred sketch needs no
-  /// backing storage. Parallel over the block's rows.
+  /// This is the layout the blocked Taylor kernels consume. The count row
+  /// streams advance together, at most 64 at a time with their states on
+  /// the stack, and the panel is written in its own row-major order. Runs
+  /// on the caller (no pool region) and allocates nothing beyond the
+  /// panel's capacity-preserving reshape.
   void fill_block(Index first, Index count, linalg::Matrix& panel) const;
 
  private:
-  GaussianSketch() = default;
+  SignSketch() = default;
 
   Index rows_ = 0;
   Index cols_ = 0;
   std::uint64_t seed_ = 0;
   std::vector<Real> data_;  ///< row-major rows_ x cols_; empty when deferred
 };
+
+/// The sketch's earlier name, still spelled by perfbench/harness.cpp.
+using GaussianSketch = SignSketch;
 
 }  // namespace psdp::rand

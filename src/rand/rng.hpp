@@ -1,8 +1,9 @@
 // Deterministic random number generation.
 //
 // Every randomized component in the library (instance generators, the JL
-// sketch) takes an explicit 64-bit seed, so experiments are reproducible and
-// parallel streams can be split deterministically with split().
+// sign sketch) takes an explicit 64-bit seed, so experiments are
+// reproducible and parallel streams can be split deterministically with
+// split().
 //
 // Engine: xoshiro256** (Blackman & Vigna) seeded via SplitMix64, the
 // recommended seeding procedure. Gaussians use the Marsaglia polar method.
@@ -26,9 +27,10 @@ inline std::uint64_t rotl(std::uint64_t x, int k) {
 }
 }  // namespace detail
 
-/// xoshiro256** generator with convenience samplers. The samplers behind
-/// normal() are defined inline: a sketch panel draws one Gaussian per entry,
-/// and out-of-line they cost three calls each.
+/// xoshiro256** generator with convenience samplers. next_u64() and the
+/// samplers behind normal() are defined inline: the sign sketch's panel
+/// fill draws once per 64 entries, and out of line normal() costs three
+/// calls a deviate.
 class Rng {
  public:
   /// Seeds the 256-bit state from a single 64-bit seed via SplitMix64.

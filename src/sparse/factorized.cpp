@@ -298,11 +298,20 @@ void FactorizedSet::ensure_float_values(BlockWorkspace& workspace) const {
 void FactorizedSet::weighted_apply_block_f(const Vector& x, const MatrixF& v,
                                            MatrixF& y,
                                            BlockWorkspace& workspace) const {
+  ensure_float_values(workspace);
+  weighted_apply_block_f(x, v, y, workspace, workspace);
+}
+
+void FactorizedSet::weighted_apply_block_f(const Vector& x, const MatrixF& v,
+                                           MatrixF& y,
+                                           BlockWorkspace& workspace,
+                                           const BlockWorkspace& values) const {
   PSDP_CHECK(x.size() == size(),
              "weighted_apply_block_f: weight length mismatch");
   PSDP_CHECK(v.rows() == dim_,
              "weighted_apply_block_f: panel dimension mismatch");
-  ensure_float_values(workspace);
+  PSDP_CHECK(static_cast<Index>(values.float_values.size()) >= size(),
+             "weighted_apply_block_f: float value copies not built");
   const Index b = v.cols();
   const auto n = static_cast<std::size_t>(size());
   if (workspace.blocks_f.size() < n) workspace.blocks_f.resize(n);
@@ -311,7 +320,7 @@ void FactorizedSet::weighted_apply_block_f(const Vector& x, const MatrixF& v,
   psi_sweep<float>(x, b, workspace.terms_f.data(), [&](Index i) {
     const auto at = static_cast<std::size_t>(i);
     const Csr& q = items_[at].q();
-    const auto& fv = workspace.float_values[at];
+    const auto& fv = values.float_values[at];
     PSDP_CHECK(static_cast<Index>(fv.values.size()) == q.nnz(),
                "weighted_apply_block_f: float value copy out of date");
     MatrixF& s = workspace.blocks_f[at];
@@ -324,20 +333,28 @@ void FactorizedSet::weighted_apply_block_f(const Vector& x, const MatrixF& v,
 }
 
 void FactorizedSet::weighted_apply(const Vector& x, const Vector& v,
-                                   Vector& y) const {
+                                   Vector& y,
+                                   BlockWorkspace& workspace) const {
   PSDP_CHECK(x.size() == size(), "weighted_apply: weight length mismatch");
   PSDP_CHECK(v.size() == dim_, "weighted_apply: vector length mismatch");
   if (y.size() != dim_) y = Vector(dim_);
   const auto n = static_cast<std::size_t>(size());
-  std::vector<Vector> blocks(n);
-  std::vector<simd::PsiTerm<Real>> terms(n);
-  psi_sweep<Real>(x, 1, terms.data(), [&](Index i) {
+  if (workspace.columns.size() < n) workspace.columns.resize(n);
+  if (workspace.terms.size() < n) workspace.terms.resize(n);
+  psi_sweep<Real>(x, 1, workspace.terms.data(), [&](Index i) {
     const auto at = static_cast<std::size_t>(i);
     const Csr& q = items_[at].q();
-    q.apply_transpose(v, blocks[at]);
+    Vector& s = workspace.columns[at];
+    q.apply_transpose(v, s);
     return simd::PsiTerm<Real>{q.col_indices().data(), q.values().data(),
-                               blocks[at].data(), x[i]};
+                               s.data(), x[i]};
   }, simd::active_kernels().psi_rows, y.data());
+}
+
+void FactorizedSet::weighted_apply(const Vector& x, const Vector& v,
+                                   Vector& y) const {
+  BlockWorkspace workspace;
+  weighted_apply(x, v, y, workspace);
 }
 
 }  // namespace psdp::sparse

@@ -99,11 +99,6 @@ class FactorizedSet {
   /// Entries with weight zero are skipped.
   Csr weighted_sum(const Vector& x) const;
 
-  /// y = (sum_i x_i A_i) v without forming the sum: the b = 1 sweep of
-  /// weighted_apply_block, with each S_i = Q_i^T v from
-  /// Csr::apply_transpose. Allocates its per-constraint vectors per call.
-  void weighted_apply(const Vector& x, const Vector& v, Vector& y) const;
-
   /// Y = (sum_i x_i A_i) V for a row-major dim() x b panel V, as one
   /// set-level sweep in two work-gated parallel regions:
   ///  1. over constraints: for each nonzero weight, the transpose SpMM
@@ -121,6 +116,8 @@ class FactorizedSet {
   struct BlockWorkspace {
     /// Per-constraint k_i x b intermediates S_i = Q_i^T V.
     std::vector<Matrix> blocks;
+    /// Per-constraint S_i = Q_i^T v of the b = 1 weighted_apply.
+    std::vector<Vector> columns;
     /// Per-constraint operands of the row pass (simd::PsiTerm).
     std::vector<simd::PsiTerm<Real>> terms;
 
@@ -143,6 +140,17 @@ class FactorizedSet {
   void weighted_apply_block(const Vector& x, const Matrix& v, Matrix& y,
                             BlockWorkspace& workspace) const;
 
+  /// y = (sum_i x_i A_i) v without forming the sum: the b = 1 sweep of
+  /// weighted_apply_block, with each S_i = Q_i^T v from
+  /// Csr::apply_transpose into workspace.columns, so repeated calls (one
+  /// per Lanczos matvec) allocate nothing once warm.
+  void weighted_apply(const Vector& x, const Vector& v, Vector& y,
+                      BlockWorkspace& workspace) const;
+
+  /// The same with a private workspace: allocates its per-constraint
+  /// vectors per call, and shares nothing between concurrent calls.
+  void weighted_apply(const Vector& x, const Vector& v, Vector& y) const;
+
   /// Build (idempotently) the workspace's per-factor float32 value copies.
   /// Runs once per workspace; after it, the float sweeps below allocate
   /// nothing (the zero-allocation steady state extends to the mixed-
@@ -156,6 +164,14 @@ class FactorizedSet {
   /// (see BigDotExpOptions::panel_precision).
   void weighted_apply_block_f(const Vector& x, const MatrixF& v, MatrixF& y,
                               BlockWorkspace& workspace) const;
+
+  /// The same, reading the float value copies `values` built (by
+  /// ensure_float_values) instead of its own; only the panel scratch comes
+  /// from `workspace`. The slots of a panel-parallel round all read slot
+  /// 0's copy, so a round holds one copy whatever its width.
+  void weighted_apply_block_f(const Vector& x, const MatrixF& v, MatrixF& y,
+                              BlockWorkspace& workspace,
+                              const BlockWorkspace& values) const;
 
  private:
   /// The two-region sweep behind the three weighted applies: `project(i)`

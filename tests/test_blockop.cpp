@@ -1,5 +1,5 @@
 // Tests for the block-operator (SpMM) kernel layer: Csr::apply_block,
-// apply_exp_taylor_block, GaussianSketch::fill_block, and the blocked
+// apply_exp_taylor_block, SignSketch::fill_block, and the blocked
 // bigDotExp path, each validated against its single-vector reference.
 #include <gtest/gtest.h>
 
@@ -207,8 +207,8 @@ TEST(BlockOpAdapter, MatchesNativeBlockKernel) {
 TEST(SketchFillBlock, MatchesMaterializedRows) {
   const Index r = 13;
   const Index m = 21;
-  const rand::GaussianSketch materialized(r, m, 42);
-  const rand::GaussianSketch lazy = rand::GaussianSketch::deferred(r, m, 42);
+  const rand::SignSketch materialized(r, m, 42);
+  const rand::SignSketch lazy = rand::SignSketch::deferred(r, m, 42);
   for (const Index block : {1, 4, 5, 13}) {
     for (Index first = 0; first < r; first += block) {
       const Index count = std::min<Index>(block, r - first);
@@ -228,7 +228,7 @@ TEST(SketchFillBlock, MatchesMaterializedRows) {
 }
 
 TEST(SketchFillBlock, DeferredRejectsMaterializedOnlyCalls) {
-  const rand::GaussianSketch lazy = rand::GaussianSketch::deferred(4, 6, 1);
+  const rand::SignSketch lazy = rand::SignSketch::deferred(4, 6, 1);
   EXPECT_THROW(lazy.row(0), InvalidArgument);
   std::vector<Real> x(6, 1.0), y(4);
   EXPECT_THROW(lazy.apply(x, y), InvalidArgument);
@@ -501,6 +501,42 @@ TEST(FactorizedBlock, SweepIsTwoPoolRegionsOnTheShardShape) {
   EXPECT_EQ(dispatches_per_apply(apps::random_factorized(tiny).set()), 0u);
 }
 
+// The matvec's workspace form (the one Lanczos calls per iteration) gives
+// the allocating form's bits, and a warm workspace is reused in place, on
+// the m = 24, rank-8 instance of the determinism suite.
+TEST(FactorizedBlock, WeightedApplyWorkspaceFormIsBitwiseTheAllocatingForm) {
+  const sparse::FactorizedSet set =
+      apps::random_factorized({.n = 8, .m = 24, .rank = 8,
+                               .nnz_per_column = 4, .seed = 42})
+          .set();
+  const Index m = set.dim();
+  sparse::FactorizedSet::BlockWorkspace workspace;
+  std::vector<const Real*> storage;
+  Vector y;
+  for (int call = 0; call < 4; ++call) {
+    Vector weights(set.size());
+    for (Index i = 0; i < set.size(); ++i) {
+      weights[i] = 0.25 * static_cast<Real>((i + call) % 5);  // some zero
+    }
+    const Matrix v = random_panel(m, 1, 130 + static_cast<std::uint64_t>(call));
+    Vector col(m);
+    linalg::panel_column(v, 0, col);
+    set.weighted_apply(weights, col, y, workspace);
+    Vector want;
+    set.weighted_apply(weights, col, want);
+    EXPECT_TRUE(same_bytes(y.data(), want.data(), m)) << "call " << call;
+    const Vector composed = composed_psi_vec(set, weights, col);
+    EXPECT_TRUE(same_bytes(y.data(), composed.data(), m)) << "call " << call;
+    // A column, once sized (at its first nonzero weight), is reused.
+    ASSERT_EQ(workspace.columns.size(), static_cast<std::size_t>(set.size()));
+    storage.resize(workspace.columns.size(), nullptr);
+    for (std::size_t i = 0; i < storage.size(); ++i) {
+      if (storage[i] == nullptr) storage[i] = workspace.columns[i].data();
+      EXPECT_EQ(workspace.columns[i].data(), storage[i]) << "call " << call;
+    }
+  }
+}
+
 /// bigDotExp fixture: a factorized set plus a sparse Phi.
 struct BigDotFixture {
   sparse::FactorizedSet set;
@@ -538,7 +574,7 @@ TEST(BigDotExpBlocked, BlockSizeOneIsBitIdenticalToReference) {
 }
 
 TEST(BigDotExpBlocked, FusedDotsAreBitwiseTheRowScatter) {
-  // At Taylor degree 1 the fused path's panels are the Gaussian sketch
+  // At Taylor degree 1 the fused path's panels are the sign sketch
   // panels themselves, so the dots can be rebuilt here from the scatter
   // kernel over every row of every factor -- the loop the gather replaced.
   ThreadGuard guard;
@@ -561,8 +597,8 @@ TEST(BigDotExpBlocked, FusedDotsAreBitwiseTheRowScatter) {
         options.sketch_rows_override = kRows;
         options.taylor_degree_override = 1;
         options.block_size = block;
-        const rand::GaussianSketch sketch =
-            rand::GaussianSketch::deferred(kRows, m, options.seed);
+        const rand::SignSketch sketch =
+            rand::SignSketch::deferred(kRows, m, options.seed);
         Vector want(set->size());
         Matrix panel;
         for (Index j0 = 0; j0 < kRows; j0 += block) {
@@ -647,6 +683,133 @@ TEST(BigDotExpBlocked, RejectsNegativeBlockSize) {
   core::BigDotExpOptions options;
   options.block_size = -2;
   EXPECT_THROW(core::big_dot_exp(f.phi, 1.0, f.set, options), InvalidArgument);
+}
+
+// A float32 round on four slots builds the factors' float value copies
+// once, in slot 0's scratch; slots 1..3 read it and hold none, and the
+// round's bits are the one-slot round's.
+TEST(BigDotExpBlocked, WideFloat32RoundHoldsOneFloatCopy) {
+  ThreadGuard guard;
+  const sparse::FactorizedSet set =
+      apps::random_factorized({.n = 6, .m = 2048, .rank = 2,
+                               .nnz_per_column = 8, .seed = 43})
+          .set();
+  Vector x(set.size());
+  for (Index i = 0; i < x.size(); ++i) {
+    x[i] = (1.0 + 0.25 * static_cast<Real>(i % 5)) /
+           static_cast<Real>(set.size());
+  }
+  core::BigDotExpOptions options;
+  options.eps = 0.3;
+  options.sketch_rows_override = 128;  // 8 panels of 16
+  options.panel_precision = core::PanelPrecision::kFloat32;
+  const auto round = [&](int threads, core::SolverWorkspace& workspace) {
+    par::set_num_threads(threads);
+    core::BigDotExpResult result;
+    core::big_dot_exp(x, 2.0, set, options, workspace, result);
+    EXPECT_EQ(result.panel_precision, core::PanelPrecision::kFloat32);
+    return result;
+  };
+  core::SolverWorkspace narrow;
+  const core::BigDotExpResult want = round(1, narrow);
+  core::SolverWorkspace wide;
+  const core::BigDotExpResult got = round(4, wide);
+  ASSERT_EQ(wide.slots.size(), 3u);
+  EXPECT_EQ(wide.factor.float_values.size(),
+            static_cast<std::size_t>(set.size()));
+  for (const core::PanelWorkspace& slot : wide.slots) {
+    EXPECT_TRUE(slot.factor.float_values.empty());
+  }
+  EXPECT_TRUE(same_bytes(got.dots.data(), want.dots.data(), set.size()));
+  EXPECT_EQ(got.trace_exp, want.trace_exp);
+}
+
+// Far past kappa, the series of exp(Phi/2) outgrows double. The round is
+// rerun on a sketch scaled by a power of two, on each of the three panel
+// paths, and the ratios of its estimates are those of the unscaled series,
+// computed here densely in long double from a 2^-600 start (so the
+// reference fits whatever range long double has).
+TEST(BigDotExpBlocked, OverflowingRoundIsRerunAtAPowerOfTwoScale) {
+  const sparse::FactorizedSet set =
+      apps::random_factorized({.n = 6, .m = 16, .rank = 2,
+                               .nnz_per_column = 4, .seed = 7})
+          .set();
+  const auto m = static_cast<std::size_t>(set.dim());
+  constexpr Index kDegree = 120;
+  // P = 2^-600 sum_{j<k} (Psi/2)^j / j!; with the exact sketch the trace
+  // estimate is ||P||_F^2 and dots_i = <P^2, A_i>.
+  const auto reference_ratios = [&](Real weight) {
+    using Dense = std::vector<long double>;  // m x m, row-major
+    const auto product = [m](const Dense& a, const Dense& b) {
+      Dense c(m * m, 0);
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t k = 0; k < m; ++k) {
+          for (std::size_t j = 0; j < m; ++j) {
+            c[i * m + j] += a[i * m + k] * b[k * m + j];
+          }
+        }
+      }
+      return c;
+    };
+    std::vector<Dense> a(static_cast<std::size_t>(set.size()), Dense(m * m));
+    Dense half_psi(m * m, 0);
+    for (Index i = 0; i < set.size(); ++i) {
+      const Matrix dense = set[i].to_dense();
+      for (std::size_t e = 0; e < m * m; ++e) {
+        a[static_cast<std::size_t>(i)][e] = dense.data()[e];
+        half_psi[e] += 0.5L * weight * dense.data()[e];
+      }
+    }
+    Dense term(m * m, 0);
+    for (std::size_t i = 0; i < m; ++i) term[i * m + i] = std::ldexp(1.0L, -600);
+    Dense p = term;
+    for (Index j = 1; j < kDegree; ++j) {
+      term = product(half_psi, term);
+      for (std::size_t e = 0; e < m * m; ++e) {
+        term[e] /= static_cast<long double>(j);
+        p[e] += term[e];
+      }
+    }
+    const Dense p2 = product(p, p);
+    long double trace = 0;
+    for (std::size_t i = 0; i < m; ++i) trace += p2[i * m + i];
+    std::vector<Real> ratios;
+    for (const Dense& ai : a) {
+      long double dot = 0;
+      for (std::size_t e = 0; e < m * m; ++e) dot += p2[e] * ai[e];
+      ratios.push_back(static_cast<Real>(dot / trace));
+    }
+    return ratios;
+  };
+  // At weight 400 the estimates fit in double; at 800 they overflow it
+  // and one rerun at 2^-256 brings them back.
+  for (const Real weight : {400.0, 800.0}) {
+    const Vector x(set.size(), weight);
+    const std::vector<Real> want = reference_ratios(weight);
+    for (const auto& [block, fuse] :
+         {std::pair<Index, bool>{1, true}, {0, true}, {0, false}}) {
+      core::BigDotExpOptions options;
+      options.taylor_degree_override = kDegree;
+      options.block_size = block;
+      options.fuse_dots = fuse;
+      core::SolverWorkspace workspace;
+      core::BigDotExpResult result;
+      core::big_dot_exp(x, 1.0, set, options, workspace, result);
+      const std::string where = "weight " + std::to_string(weight) +
+                                " block " + std::to_string(block) +
+                                (fuse ? " fused" : " two-pass");
+      ASSERT_TRUE(result.exact_sketch) << where;
+      EXPECT_EQ(result.scale_exponent, weight == 400.0 ? 0 : -512) << where;
+      ASSERT_TRUE(std::isfinite(result.trace_exp) && result.trace_exp > 0)
+          << where;
+      for (Index i = 0; i < set.size(); ++i) {
+        const Real ratio = result.dots[i] / result.trace_exp;
+        EXPECT_NEAR(ratio, want[static_cast<std::size_t>(i)],
+                    1e-9 * want[static_cast<std::size_t>(i)])
+            << where << " constraint " << i;
+      }
+    }
+  }
 }
 
 TEST(TimeBlockKernel, RunsExactlyTheRequestedRepetitions) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
+#include "par/parallel.hpp"
+#include "par/thread_pool.hpp"
 #include "rand/jl.hpp"
 #include "rand/rng.hpp"
 
@@ -105,9 +108,11 @@ TEST(JlRows, FormulaAndValidation) {
   EXPECT_THROW(jl_rows(10, 0.5, 2.0), InvalidArgument);
 }
 
+// The GaussianSketch suite keeps the name of the rand::GaussianSketch
+// alias; the SignSketch suite below pins the sign layout itself.
 TEST(GaussianSketch, DeterministicForSeed) {
-  const GaussianSketch a(8, 32, 5);
-  const GaussianSketch b(8, 32, 5);
+  const SignSketch a(8, 32, 5);
+  const SignSketch b(8, 32, 5);
   for (Index j = 0; j < 8; ++j) {
     const auto ra = a.row(j);
     const auto rb = b.row(j);
@@ -116,7 +121,7 @@ TEST(GaussianSketch, DeterministicForSeed) {
 }
 
 TEST(GaussianSketch, ApplyMatchesManualDotProducts) {
-  const GaussianSketch pi(4, 16, 77);
+  const SignSketch pi(4, 16, 77);
   std::vector<Real> x(16);
   for (std::size_t i = 0; i < 16; ++i) x[i] = std::cos(static_cast<Real>(i));
   std::vector<Real> y(4);
@@ -139,7 +144,7 @@ TEST(GaussianSketch, NormPreservationOnAverage) {
   const Real true_norm2 = static_cast<Real>(m);
   int failures = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    const GaussianSketch pi(r, m, seed);
+    const SignSketch pi(r, m, seed);
     const Real est = pi.sketch_norm2(x);
     if (std::abs(est - true_norm2) > 5 * std::sqrt(2.0 / r) * true_norm2) {
       ++failures;
@@ -149,8 +154,8 @@ TEST(GaussianSketch, NormPreservationOnAverage) {
 }
 
 TEST(GaussianSketch, RejectsBadShapes) {
-  EXPECT_THROW(GaussianSketch(0, 4, 1), InvalidArgument);
-  const GaussianSketch pi(2, 4, 1);
+  EXPECT_THROW(SignSketch(0, 4, 1), InvalidArgument);
+  const SignSketch pi(2, 4, 1);
   std::vector<Real> wrong(3), y(2);
   EXPECT_THROW(pi.apply(wrong, y), InvalidArgument);
 }
@@ -158,13 +163,104 @@ TEST(GaussianSketch, RejectsBadShapes) {
 TEST(GaussianSketch, RowVarianceIsOneOverRows) {
   const Index r = 16;
   const Index m = 20000;
-  const GaussianSketch pi(r, m, 3);
+  const SignSketch pi(r, m, 3);
   Real sum2 = 0;
   for (Index j = 0; j < r; ++j) {
     for (Real v : pi.row(j)) sum2 += v * v;
   }
-  // Each entry has variance 1/r: total expected sum of squares = m.
-  EXPECT_NEAR(sum2 / static_cast<Real>(m), 1.0, 0.05);
+  // Each entry squares to 1/r, so the sum of squares is m up to rounding.
+  EXPECT_NEAR(sum2 / static_cast<Real>(m), 1.0, 1e-12);
+}
+
+TEST(SignSketch, EveryEntryIsPlusOrMinusOneOverSqrtRows) {
+  const Index r = 9;  // 1/sqrt(9) is not a power of two
+  const Index m = 130;
+  const SignSketch pi(r, m, 11);
+  const Real scale = 1.0 / std::sqrt(static_cast<Real>(r));
+  Index plus = 0;
+  for (Index j = 0; j < r; ++j) {
+    for (const Real v : pi.row(j)) {
+      EXPECT_TRUE(v == scale || v == -scale) << v;
+      if (v > 0) ++plus;
+    }
+  }
+  EXPECT_GT(plus, 0);
+  EXPECT_LT(plus, r * m);
+}
+
+// Entry (j, i) is signed by bit (i mod 64) of draw floor(i / 64) of row j's
+// stream: set is -1/sqrt(r), clear is +1/sqrt(r).
+TEST(SignSketch, EntryIsTheStreamBitOfItsColumn) {
+  const Index r = 5;
+  const Index m = 150;  // three draws, the last one partly used
+  const std::uint64_t seed = 2024;
+  const SignSketch pi(r, m, seed);
+  const Real scale = 1.0 / std::sqrt(static_cast<Real>(r));
+  for (Index j = 0; j < r; ++j) {
+    Rng rng(stream_seed(seed, static_cast<std::uint64_t>(j)));
+    std::uint64_t draw = 0;
+    const auto row = pi.row(j);
+    for (Index i = 0; i < m; ++i) {
+      if (i % 64 == 0) draw = rng.next_u64();
+      const Real want = ((draw >> (i % 64)) & 1) != 0 ? -scale : scale;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(row[static_cast<std::size_t>(i)]),
+                std::bit_cast<std::uint64_t>(want))
+          << "row " << j << " column " << i;
+    }
+  }
+}
+
+// fill_block's panels are the materialized rows bit for bit, for panel
+// widths on both sides of the 64 streams it advances together.
+TEST(SignSketch, FillBlockMatchesRows) {
+  const Index r = 80;
+  const Index first = 7;
+  for (const Index m : {100, 130, 2048}) {
+    const SignSketch materialized(r, m, 31);
+    const SignSketch lazy = SignSketch::deferred(r, m, 31);
+    for (const Index count : {1, 5, 16, 70}) {
+      linalg::Matrix panel;
+      lazy.fill_block(first, count, panel);
+      ASSERT_EQ(panel.rows(), m);
+      ASSERT_EQ(panel.cols(), count);
+      bool same = true;
+      for (Index t = 0; t < count; ++t) {
+        const auto row = materialized.row(first + t);
+        for (Index i = 0; i < m; ++i) {
+          same = same && std::bit_cast<std::uint64_t>(panel(i, t)) ==
+                             std::bit_cast<std::uint64_t>(
+                                 row[static_cast<std::size_t>(i)]);
+        }
+      }
+      EXPECT_TRUE(same) << "m " << m << " count " << count;
+    }
+  }
+}
+
+TEST(SignSketch, PlusShareIsOneHalf) {
+  const Index r = 16;
+  const Index m = 20000;
+  const SignSketch pi(r, m, 3);
+  Index plus = 0;
+  for (Index j = 0; j < r; ++j) {
+    for (const Real v : pi.row(j)) plus += v > 0 ? 1 : 0;
+  }
+  // The count of + signs is Binomial(rm, 1/2): sigma = sqrt(rm) / 2.
+  const Real n = static_cast<Real>(r * m);
+  EXPECT_LE(std::abs(static_cast<Real>(plus) - n / 2), 5 * std::sqrt(n) / 2);
+}
+
+TEST(SignSketch, FillBlockOpensNoPoolRegion) {
+  const int before = par::num_threads();
+  par::set_num_threads(4);
+  const SignSketch lazy = SignSketch::deferred(64, 4096, 5);
+  linalg::Matrix panel;
+  lazy.fill_block(0, 16, panel);  // sizes the panel
+  const std::uint64_t regions = par::global_pool().dispatched_batches();
+  lazy.fill_block(16, 16, panel);
+  lazy.fill_block(0, 64, panel);
+  EXPECT_EQ(par::global_pool().dispatched_batches(), regions);
+  par::set_num_threads(before);
 }
 
 }  // namespace
